@@ -88,6 +88,7 @@ type estimatorGoldens struct {
 	SearchZero      searchGolden   `json:"search_zero"`
 	SearchDefault   searchGolden   `json:"search_default"`
 	ActivityTopVars []int          `json:"activity_top_vars"`
+	SearchSAZero    searchGolden   `json:"search_sa_zero"`
 }
 
 func hashFloatSlice(fs []float64) uint64 {
@@ -108,7 +109,25 @@ func runnerActivityHash(r *Runner, numVars int) uint64 {
 	return hashFloatSlice(acts)
 }
 
-// computeEstimatorGoldens runs the four pinned fixed-seed scenarios.
+// zeroSearchGolden records every deterministic quantity of a zero-policy
+// search run on r.
+func zeroSearchGolden(r *Runner, res *optimize.Result) searchGolden {
+	trace := make([]float64, 0, len(res.Trace))
+	for _, v := range res.Trace {
+		trace = append(trace, v.Value)
+	}
+	return searchGolden{
+		BestFBits:   math.Float64bits(res.BestValue),
+		BestPoint:   res.BestPoint.Key(),
+		Evaluations: res.Evaluations,
+		TraceFNV:    hashFloatSlice(trace),
+		Solved:      r.SubproblemsSolved(),
+		Stats:       toEstGoldenStats(statsNoTime(r.AggregateStats())),
+		ActFNV:      runnerActivityHash(r, r.Formula().NumVars),
+	}
+}
+
+// computeEstimatorGoldens runs the five pinned fixed-seed scenarios.
 func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 	t.Helper()
 	var g estimatorGoldens
@@ -169,19 +188,7 @@ func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := make([]float64, 0, len(res.Trace))
-		for _, v := range res.Trace {
-			trace = append(trace, v.Value)
-		}
-		g.SearchZero = searchGolden{
-			BestFBits:   math.Float64bits(res.BestValue),
-			BestPoint:   res.BestPoint.Key(),
-			Evaluations: res.Evaluations,
-			TraceFNV:    hashFloatSlice(trace),
-			Solved:      r.SubproblemsSolved(),
-			Stats:       toEstGoldenStats(statsNoTime(r.AggregateStats())),
-			ActFNV:      runnerActivityHash(r, inst.CNF.NumVars),
-		}
+		g.SearchZero = zeroSearchGolden(r, res)
 		top := res.BestPoint.Vars()
 		g.ActivityTopVars = make([]int, 0, len(top))
 		for _, v := range top {
@@ -204,12 +211,40 @@ func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 			Evaluations: res.Evaluations,
 		}
 	}
+
+	// Zero-policy simulated annealing on a smaller instance whose 17
+	// unknowns cannot be shrunk to an empty set within the budget: the
+	// full trace is deterministic.
+	{
+		saInst := weakBivium(t, 160, 200, 7)
+		r := NewRunner(saInst.CNF, evalTestConfig(eval.Policy{}))
+		res, err := optimize.SimulatedAnnealing(context.Background(), r, unknownSpace(saInst).FullPoint(),
+			optimize.Options{Seed: 5, MaxEvaluations: 14, InitialTemperature: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.SearchSAZero = zeroSearchGolden(r, res)
+	}
 	return g
 }
 
 func statsNoTime(s solver.Stats) solver.Stats {
 	s.SolveTime = 0
 	return s
+}
+
+// loadEstimatorGoldens reads the recorded estimator goldens.
+func loadEstimatorGoldens(t *testing.T) estimatorGoldens {
+	t.Helper()
+	buf, err := os.ReadFile(estimatorGoldenFile)
+	if err != nil {
+		t.Fatalf("missing golden file (record with PDSAT_UPDATE_GOLDENS=1): %v", err)
+	}
+	var g estimatorGoldens
+	if err := json.Unmarshal(buf, &g); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestEstimatorGoldens compares the fixed-seed pipeline against the values
@@ -232,14 +267,7 @@ func TestEstimatorGoldens(t *testing.T) {
 		return
 	}
 
-	buf, err := os.ReadFile(estimatorGoldenFile)
-	if err != nil {
-		t.Fatalf("missing golden file (record with PDSAT_UPDATE_GOLDENS=1): %v", err)
-	}
-	var want estimatorGoldens
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := loadEstimatorGoldens(t)
 	if got.EstimateZero != want.EstimateZero {
 		t.Errorf("zero-policy estimate diverges from the seed:\n got %+v\nwant %+v", got.EstimateZero, want.EstimateZero)
 	}
@@ -251,6 +279,9 @@ func TestEstimatorGoldens(t *testing.T) {
 	}
 	if got.SearchDefault != want.SearchDefault {
 		t.Errorf("default-policy search diverges from the seed:\n got %+v\nwant %+v", got.SearchDefault, want.SearchDefault)
+	}
+	if got.SearchSAZero != want.SearchSAZero {
+		t.Errorf("zero-policy annealing diverges from its recording:\n got %+v\nwant %+v", got.SearchSAZero, want.SearchSAZero)
 	}
 	if len(got.ActivityTopVars) != len(want.ActivityTopVars) {
 		t.Errorf("best-point variables diverge: got %v, want %v", got.ActivityTopVars, want.ActivityTopVars)

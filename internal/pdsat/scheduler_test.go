@@ -39,92 +39,85 @@ func compareSearchResults(t *testing.T, got, want *optimize.Result) {
 	}
 }
 
-// TestSchedulerWidthOneBitIdenticalTabuZeroPolicy is the satellite
+// TestSchedulerWidthOneBitIdenticalTabuZeroPolicy is the width-1
 // equivalence regression on the real pipeline: a fixed-seed Bivium tabu
-// search with MaxConcurrentEvals = 1 runs entirely through the scheduler
-// (pre-drawn visit order, slot-pinned samples, runWave) and must be bit-
-// identical to the sequential anchor — same trace, same conflict
-// activities, same subproblem counts.
+// search at MaxConcurrentEvals 0 and 1 runs entirely through the scheduler
+// (pre-drawn visit order, runWave) and must reproduce the search_zero
+// golden — same trace, same conflict activities, same subproblem counts.
 func TestSchedulerWidthOneBitIdenticalTabuZeroPolicy(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
-
-	seqRunner := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	want, err := optimize.TabuSearch(context.Background(), seqRunner, space.FullPoint(),
-		optimize.Options{Seed: 5, MaxEvaluations: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	schedRunner := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	got, err := optimize.TabuSearch(context.Background(), schedRunner, space.FullPoint(),
-		optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	compareSearchResults(t, got, want)
-	for _, v := range inst.UnknownStartVars() {
-		if a, b := seqRunner.VarActivity(v), schedRunner.VarActivity(v); a != b {
-			t.Fatalf("conflict activity of %d differs: %v vs %v", v, a, b)
+	want := loadEstimatorGoldens(t).SearchZero
+	for _, width := range []int{0, 1} {
+		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
+		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+			optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: width})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if seqRunner.SubproblemsSolved() != schedRunner.SubproblemsSolved() {
-		t.Fatalf("solved counts differ: %d vs %d",
-			seqRunner.SubproblemsSolved(), schedRunner.SubproblemsSolved())
+		if got := zeroSearchGolden(r, res); got != want {
+			t.Fatalf("width %d diverges from the search_zero golden:\n got %+v\nwant %+v", width, got, want)
+		}
 	}
 }
 
 // TestSchedulerWidthOneBitIdenticalTabuDefaultPolicy repeats the width-1
-// anchor under the default policy (pruning + staging + F-cache): the
-// scheduler's one-at-a-time path must thread the improving incumbent into
-// every evaluation exactly like the sequential loop, so even the pruned
-// lower bounds match bit for bit.
+// anchor under the default policy (pruning + staging + F-cache): widths 0
+// and 1 must reach the search_default golden's outcome, and thread the
+// improving incumbent into every evaluation identically, so even the
+// pruned lower bounds of the two runs match bit for bit.
 func TestSchedulerWidthOneBitIdenticalTabuDefaultPolicy(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
 	pol := eval.DefaultPolicy()
-
-	seqRunner := NewRunner(inst.CNF, evalTestConfig(pol))
-	want, err := optimize.TabuSearch(context.Background(), seqRunner, space.FullPoint(),
-		optimize.Options{Seed: 5, MaxEvaluations: 25})
-	if err != nil {
-		t.Fatal(err)
+	want := loadEstimatorGoldens(t).SearchDefault
+	results := make([]*optimize.Result, 2)
+	pruned := make([]int, 2)
+	for width := range results {
+		r := NewRunner(inst.CNF, evalTestConfig(pol))
+		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+			optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := searchGolden{
+			BestFBits:   math.Float64bits(res.BestValue),
+			BestPoint:   res.BestPoint.Key(),
+			Evaluations: res.Evaluations,
+		}
+		if got != want {
+			t.Fatalf("width %d diverges from the search_default golden:\n got %+v\nwant %+v", width, got, want)
+		}
+		results[width], pruned[width] = res, r.PrunedEvaluations()
 	}
-
-	schedRunner := NewRunner(inst.CNF, evalTestConfig(pol))
-	got, err := optimize.TabuSearch(context.Background(), schedRunner, space.FullPoint(),
-		optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareSearchResults(t, got, want)
-	if seqRunner.PrunedEvaluations() != schedRunner.PrunedEvaluations() {
-		t.Fatalf("pruned counts differ: %d vs %d",
-			seqRunner.PrunedEvaluations(), schedRunner.PrunedEvaluations())
+	compareSearchResults(t, results[1], results[0])
+	if pruned[0] != pruned[1] {
+		t.Fatalf("pruned counts differ: %d vs %d", pruned[0], pruned[1])
 	}
 }
 
 // TestSchedulerWidthOneBitIdenticalSA is the width-1 anchor for the
-// simulated annealing: single-candidate waves reproduce the sequential
-// pick/evaluate/accept/cool interleaving — including the acceptance RNG
-// draws — exactly.
+// simulated annealing: single-candidate waves at widths 0 and 1 must
+// reproduce the search_sa_zero golden — the pick/evaluate/accept/cool
+// interleaving, including the acceptance RNG draws, exactly.
 func TestSchedulerWidthOneBitIdenticalSA(t *testing.T) {
 	// 17 unknown variables and a budget of 14: even a run of all-accepted
 	// downhill moves cannot shrink the decomposition set to empty, which
 	// the annealing's neighbourhood generation does not tolerate.
 	inst := weakBivium(t, 160, 200, 7)
 	space := unknownSpace(inst)
-	run := func(width int) *optimize.Result {
+	want := loadEstimatorGoldens(t).SearchSAZero
+	for _, width := range []int{0, 1} {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
 		res, err := optimize.SimulatedAnnealing(context.Background(), r, space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 14, InitialTemperature: 0.5, MaxConcurrentEvals: width})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if got := zeroSearchGolden(r, res); got != want {
+			t.Fatalf("width %d diverges from the search_sa_zero golden:\n got %+v\nwant %+v", width, got, want)
+		}
 	}
-	compareSearchResults(t, run(1), run(0))
 }
 
 // TestSchedulerWideZeroPolicyMatchesSequential: with pruning off and the
