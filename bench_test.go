@@ -290,7 +290,8 @@ func BenchmarkEvalPolicyBiviumTabu(b *testing.B) {
 			CostMetric: solver.CostPropagations,
 			Policy:     pol,
 		})
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		obj := newBenchObjective(r.DefaultScope(), pol, nil, r.VarActivity)
+		res, err := optimize.TabuSearch(context.Background(), obj, space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 60})
 		if err != nil {
 			b.Fatal(err)
@@ -359,8 +360,7 @@ func BenchmarkFleetBiviumTabu(b *testing.B) {
 		total := 0
 		for i := 0; i < members; i++ {
 			r := newRunner(optimize.SubSeed(root, 3*i))
-			eng := eval.NewEngine(r, pol, eval.NewCache()) // isolated cache
-			obj := &fleetBenchObjective{engine: eng, activity: r.VarActivity}
+			obj := newBenchObjective(r.DefaultScope(), pol, eval.NewCache(), r.VarActivity) // isolated cache
 			var err error
 			switch method(i) {
 			case optimize.MethodSA:
@@ -384,10 +384,9 @@ func BenchmarkFleetBiviumTabu(b *testing.B) {
 		fleet := make([]optimize.FleetMember, members)
 		for i := 0; i < members; i++ {
 			scope := r.NewScope(optimize.SubSeed(root, 3*i))
-			eng := eval.NewEngine(scope, pol, cache)
 			fleet[i] = optimize.FleetMember{
 				Method:    method(i),
-				Objective: &fleetBenchObjective{engine: eng, activity: scope.VarActivity},
+				Evaluator: newBenchObjective(scope, pol, cache, scope.VarActivity),
 				Start:     space.FullPoint(),
 				Opts:      optimize.Options{Seed: optimize.SubSeed(root, 3*i+1), MaxEvaluations: evals},
 			}
@@ -417,39 +416,37 @@ func BenchmarkFleetBiviumTabu(b *testing.B) {
 	}
 }
 
-// fleetBenchObjective adapts an evaluation engine plus an activity source
-// as an optimizer objective for the fleet benchmark.
-type fleetBenchObjective struct {
-	engine   *eval.Engine
+// benchBackend adapts an evaluation scope as an eval.Backend.
+type benchBackend struct{ sc *pdsat.Scope }
+
+func (b benchBackend) ReserveSlots(n int) int { return b.sc.ReserveSlots(n) }
+
+func (b benchBackend) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int) (*eval.Evaluation, error) {
+	pe, err := b.sc.Evaluate(ctx, pdsat.Request{Point: p, Policy: pol, Incumbent: incumbent, Slot: slot})
+	if pe == nil {
+		return nil, err
+	}
+	ev := pe.Evaluation()
+	return &ev, err
+}
+
+// benchObjective is the evaluator the benchmarks' searches run on: an
+// evaluation engine over a scope plus the activity source of the tabu
+// getNewCenter heuristic.
+type benchObjective struct {
+	*eval.Engine
 	activity func(cnf.Var) float64
 }
 
-func (o *fleetBenchObjective) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	ev, err := o.engine.EvaluateF(ctx, p, math.Inf(1))
-	if err != nil {
-		return 0, err
-	}
-	return ev.Value, nil
+func newBenchObjective(sc *pdsat.Scope, pol eval.Policy, cache *eval.Cache, activity func(cnf.Var) float64) benchObjective {
+	return benchObjective{eval.NewEngine(benchBackend{sc}, pol, cache), activity}
 }
 
-func (o *fleetBenchObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	return o.engine.EvaluateF(ctx, p, incumbent)
-}
-
-func (o *fleetBenchObjective) VarActivity(v cnf.Var) float64 { return o.activity(v) }
-
-// ReserveSlots and EvaluateSlotF expose the engine's deterministic
-// evaluation slots, which the neighbourhood scheduler uses to keep every
-// candidate's Monte Carlo sample independent of completion order.
-func (o *fleetBenchObjective) ReserveSlots(n int) (int, bool) { return o.engine.ReserveSlots(n) }
-
-func (o *fleetBenchObjective) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return o.engine.EvaluateSlotF(ctx, p, incumbent, slot)
-}
+func (o benchObjective) VarActivity(v cnf.Var) float64 { return o.activity(v) }
 
 // BenchmarkNeighborhoodBiviumTabu measures the neighbourhood-parallel
 // evaluation scheduler (PR 6) on a weakened-Bivium tabu search: the same
-// fixed-seed search once through the sequential evaluation loop
+// fixed-seed search once one candidate evaluation at a time
 // (MaxConcurrentEvals = 0) and once through the scheduler with eight
 // candidate evaluations in flight over a 4-worker in-process transport.
 // The zero evaluation policy keeps both arms solving identical full
@@ -489,8 +486,7 @@ func BenchmarkNeighborhoodBiviumTabu(b *testing.B) {
 			CostMetric: solver.CostPropagations,
 			Transport:  transport,
 		})
-		eng := eval.NewEngine(r, eval.Policy{}, eval.NewCache())
-		obj := &fleetBenchObjective{engine: eng, activity: r.VarActivity}
+		obj := newBenchObjective(r.DefaultScope(), eval.Policy{}, eval.NewCache(), r.VarActivity)
 		start := time.Now()
 		res, err := optimize.TabuSearch(context.Background(), obj, space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: evals, MaxConcurrentEvals: concurrency})
@@ -611,7 +607,7 @@ func BenchmarkStragglerBiviumEstimate(b *testing.B) {
 			Speculate:  adaptive,
 		})
 		start := time.Now()
-		res, err := r.EvaluatePoint(context.Background(), point)
+		res, err := estimate(context.Background(), r, point)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -625,7 +621,7 @@ func BenchmarkStragglerBiviumEstimate(b *testing.B) {
 		CostMetric: solver.CostPropagations,
 		Workers:    2,
 	})
-	refRes, err := ref.EvaluatePoint(context.Background(), point)
+	refRes, err := estimate(context.Background(), ref, point)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -733,8 +729,14 @@ func BenchmarkPredictiveFunctionEvaluation(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.EvaluatePoint(context.Background(), point); err != nil {
+		if _, err := estimate(context.Background(), runner, point); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// estimate evaluates F at p in the runner's default scope under its
+// configured policy, with no incumbent.
+func estimate(ctx context.Context, r *pdsat.Runner, p decomp.Point) (*pdsat.PointEstimate, error) {
+	return r.DefaultScope().Evaluate(ctx, pdsat.Request{Point: p, Policy: r.Config().Policy, Incumbent: math.Inf(1), Slot: -1})
 }

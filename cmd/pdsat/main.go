@@ -75,7 +75,7 @@ func run() error {
 		stages     = flag.Int("stages", 0, "split each sample into this many geometric stages with an early-stop check between them (0/1 = unstaged; overrides -eval-policy)")
 		stageEps   = flag.Float64("stage-epsilon", 0, "staged early-stop target: stop once the eq.-3 confidence half-width is below this fraction of the mean (0 = no early stop; overrides -eval-policy)")
 		fcache     = flag.Bool("fcache", false, "memoize F values by decomposition set across searches and jobs (overrides -eval-policy)")
-		maxConc    = flag.Int("max-concurrent-evals", 0, "neighborhood-parallel search: evaluate up to this many candidate sets concurrently per neighborhood (0 = sequential; 1 = scheduler, bit-identical to sequential)")
+		maxConc    = flag.Int("max-concurrent-evals", 0, "neighborhood-parallel search: evaluate up to this many candidate sets concurrently per neighborhood (0 or 1 = one at a time)")
 		stopOnSat  = flag.Bool("stop-on-sat", true, "in solve mode, stop at the first satisfiable subproblem")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock limit (0 = none)")
 		steal      = flag.Bool("steal", false, "with -listen, let the leader steal queued subproblems from backlogged workers for drained ones (also enables variance-aware batch sizing)")
@@ -303,7 +303,9 @@ func runFleet(ctx context.Context, session *pdsat.Session, f fleetFlags, metric 
 // package's Server documentation and README.md for the endpoints and a
 // curl quickstart.
 func runServe(ctx context.Context, session *pdsat.Session, addr string) error {
-	httpServer := &http.Server{Addr: addr, Handler: pdsat.NewServer(session)}
+	// Only the header read is bounded: event streams legitimately stay open
+	// for a job's whole run.
+	httpServer := &http.Server{Addr: addr, Handler: pdsat.NewServer(session), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpServer.ListenAndServe() }()
 	fmt.Printf("serving job API on http://%s (POST /v1/jobs, GET /v1/jobs/{id}/events, ...)\n", addr)

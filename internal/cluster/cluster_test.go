@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -13,6 +14,12 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/portfolio"
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
+
+// estimate evaluates F at p in the runner's default scope under its
+// configured policy, with no incumbent.
+func estimate(ctx context.Context, r *pdsat.Runner, p decomp.Point) (*pdsat.PointEstimate, error) {
+	return r.DefaultScope().Evaluate(ctx, pdsat.Request{Point: p, Policy: r.Config().Policy, Incumbent: math.Inf(1), Slot: -1})
+}
 
 // testInstance builds the small weakened A5/1 instance used across the
 // runner tests.
@@ -49,10 +56,16 @@ func startLeader(t *testing.T, inst *encoder.Instance, capacity int) *cluster.Le
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-in first-out: cancel the worker, close the leader,
+	// then wait for the worker to return, so its t.Logf calls never outlive
+	// the test.
+	served := make(chan struct{})
+	t.Cleanup(func() { <-served })
 	t.Cleanup(func() { leader.Close() })
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go func() {
+		defer close(served)
 		// Serve returns nil when the leader closes the worker down.
 		_ = cluster.Serve(ctx, leader.Addr().String(), cluster.WorkerOptions{
 			Capacity: capacity, Name: "test-worker", Logf: t.Logf,
@@ -67,7 +80,7 @@ func startLeader(t *testing.T, inst *encoder.Instance, capacity int) *cluster.Le
 }
 
 // TestNetEstimateBitIdenticalToInproc is the acceptance regression for the
-// network transport: a fixed-seed EvaluatePoint routed through a loopback
+// network transport: a fixed-seed evaluation routed through a loopback
 // TCP worker must be bit-for-bit identical to the in-process estimate —
 // same sample costs, same F value, same absorbed conflict activity, same
 // aggregate statistics — because every subproblem is solved from a pristine
@@ -88,11 +101,11 @@ func TestNetEstimateBitIdenticalToInproc(t *testing.T) {
 	// Two evaluations back to back: the second exercises batch reuse of the
 	// same worker connection (and of its pooled solvers).
 	for round := 0; round < 2; round++ {
-		le, err := local.EvaluatePoint(context.Background(), p)
+		le, err := estimate(context.Background(), local, p)
 		if err != nil {
 			t.Fatalf("round %d: inproc: %v", round, err)
 		}
-		re, err := remote.EvaluatePoint(context.Background(), p)
+		re, err := estimate(context.Background(), remote, p)
 		if err != nil {
 			t.Fatalf("round %d: net: %v", round, err)
 		}
@@ -166,7 +179,7 @@ func TestNetRunnerInterruptPartialEstimate(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	est, err := r.EvaluatePoint(ctx, p)
+	est, err := estimate(ctx, r, p)
 	if err == nil {
 		// The whole sample finished before the cancel landed; nothing to
 		// assert beyond a complete estimate.

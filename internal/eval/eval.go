@@ -28,11 +28,10 @@
 //     Pruned evaluations are cached as lower bounds and are served only when
 //     they still prove the point worse than the caller's incumbent.
 //
-// The Engine composes the three: it wraps a Backend (the pdsat Runner) with
+// The Engine composes the three: it wraps a Backend (a pdsat Scope) with
 // the cache and the pruning/staging policy, and implements Evaluator — the
-// interface the optimize package's searches consume instead of a bare
-// objective, threading their incumbent (best F so far) into every
-// evaluation.
+// interface the optimize package's searches consume, threading their
+// incumbent (best F so far) into every evaluation.
 //
 // The zero Policy disables all three mechanisms and reproduces the
 // always-full-sample behaviour bit for bit; this is asserted by regression
@@ -78,10 +77,9 @@ type Policy struct {
 	Cache bool `json:"cache,omitempty"`
 	// MaxConcurrentEvals is the width of the neighborhood-parallel
 	// evaluation scheduler: how many candidate evaluations a search may keep
-	// in flight on the transport at once (see Frontier).  0 keeps the
-	// sequential evaluation loop (the deterministic regression anchor); 1
-	// drives the scheduler one candidate at a time, which is bit-identical
-	// to the sequential loop; values above 1 pipeline whole neighborhoods.
+	// in flight on the transport at once (see Frontier).  0 means 1: one
+	// candidate at a time, the deterministic regression anchor; values
+	// above 1 pipeline whole neighborhoods.
 	MaxConcurrentEvals int `json:"max_concurrent_evals,omitempty"`
 }
 
@@ -116,7 +114,7 @@ func (p Policy) Validate() error {
 			p.Gamma, DefaultGamma)
 	}
 	if p.MaxConcurrentEvals < 0 {
-		return fmt.Errorf("eval: negative evaluation concurrency %d (use 0 for the sequential path)",
+		return fmt.Errorf("eval: negative evaluation concurrency %d (use 0 or 1 for one evaluation at a time)",
 			p.MaxConcurrentEvals)
 	}
 	return nil
@@ -242,25 +240,31 @@ type Evaluation struct {
 // bound: the best F value the caller has already certified.  Evaluations may
 // exploit the incumbent by pruning (returning early with a lower bound above
 // it); callers that have no incumbent pass +Inf.  The optimize package's
-// searches consume this interface instead of a bare objective.
+// searches consume this interface.
+//
+// Each evaluation draws its Monte Carlo sample from an evaluation slot (the
+// pdsat Scope: sample = f(scope seed, slot)).  A caller that submits several
+// evaluations concurrently reserves their slots upfront, in submission
+// order, so each sample is independent of scheduling; slots of evaluations
+// that end up cancelled or cache-served stay burned, deliberately.  A
+// negative slot reserves the next one when the evaluation actually reaches
+// the backend (never on a cache hit).
 type Evaluator interface {
-	EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error)
+	// ReserveSlots reserves n consecutive evaluation slots and returns the
+	// first.
+	ReserveSlots(n int) int
+	// EvaluateF evaluates F at p against the incumbent, drawing the sample
+	// from slot.
+	EvaluateF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error)
 }
 
 // Backend performs the actual solving of an evaluation's sample under a
-// policy.  It is implemented by the pdsat Runner (and by the session layer,
-// which adds event streaming).  A backend may return a partial Evaluation
-// together with a context error.
+// policy, with the slot semantics of Evaluator.  It is implemented over a
+// pdsat Scope by the session layer, which adds event streaming.  A backend
+// may return a partial Evaluation together with a context error.
 type Backend interface {
-	EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error)
-}
-
-// BackendFunc adapts a function to the Backend interface.
-type BackendFunc func(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error)
-
-// EvaluateBudgeted implements Backend.
-func (f BackendFunc) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error) {
-	return f(ctx, p, pol, incumbent)
+	ReserveSlots(n int) int
+	EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error)
 }
 
 // Engine composes the three mechanisms over a Backend: cache lookup first,
@@ -292,8 +296,12 @@ func NewEngine(backend Backend, pol Policy, cache *Cache) *Engine {
 // Policy returns the engine's policy.
 func (e *Engine) Policy() Policy { return e.policy }
 
-// EvaluateF implements Evaluator.
-func (e *Engine) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error) {
+// ReserveSlots implements Evaluator by forwarding to the backend.
+func (e *Engine) ReserveSlots(n int) int { return e.backend.ReserveSlots(n) }
+
+// EvaluateF implements Evaluator: cache lookup, policy evaluation on the
+// backend, memoization and hooks.  A cache hit leaves the slot unused.
+func (e *Engine) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
 	key, variant := p.Key(), e.policy.variant()
 	if ev, ok := e.cache.Lookup(key, variant, incumbent); ok {
 		ev.CacheHit = true
@@ -302,7 +310,20 @@ func (e *Engine) EvaluateF(ctx context.Context, p decomp.Point, incumbent float6
 		}
 		return &ev, nil
 	}
-	return e.settle(p, key, variant, incumbent)(e.backend.EvaluateBudgeted(ctx, p, e.policy, incumbent))
+	ev, err := e.backend.EvaluateBudgeted(ctx, p, e.policy, incumbent, slot)
+	if ev == nil || err != nil {
+		// Interrupted or failed evaluations are not cached: their partial
+		// estimates are completion-censored, not reusable facts.
+		return ev, err
+	}
+	if ev.Pruned {
+		ev.Incumbent = incumbent
+		if e.OnPruned != nil {
+			e.OnPruned(p, *ev)
+		}
+	}
+	e.cache.Store(key, variant, *ev)
+	return ev, nil
 }
 
 // CacheStats returns the shared cache's counters (zero if disabled).

@@ -223,15 +223,25 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	}
 }
 
-// fakeBackend counts evaluations and returns scripted results.
+// fakeBackend counts evaluations, records the slots they ran with and
+// returns scripted results.
 type fakeBackend struct {
-	calls  int
-	result Evaluation
-	err    error
+	calls    int
+	result   Evaluation
+	err      error
+	nextSlot int
+	used     []int
 }
 
-func (b *fakeBackend) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64) (*Evaluation, error) {
+func (b *fakeBackend) ReserveSlots(n int) int {
+	first := b.nextSlot
+	b.nextSlot += n
+	return first
+}
+
+func (b *fakeBackend) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error) {
 	b.calls++
+	b.used = append(b.used, slot)
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -251,11 +261,11 @@ func TestEngineCachesAndNotifies(t *testing.T) {
 	var hits int
 	eng.OnCacheHit = func(_ decomp.Point, ev Evaluation) { hits++ }
 
-	ev, err := eng.EvaluateF(context.Background(), p, math.Inf(1))
+	ev, err := eng.EvaluateF(context.Background(), p, math.Inf(1), -1)
 	if err != nil || ev.Value != 7 || ev.CacheHit {
 		t.Fatalf("first evaluation: %+v, %v", ev, err)
 	}
-	ev, err = eng.EvaluateF(context.Background(), p, math.Inf(1))
+	ev, err = eng.EvaluateF(context.Background(), p, math.Inf(1), -1)
 	if err != nil || !ev.CacheHit || ev.Value != 7 {
 		t.Fatalf("second evaluation not served from cache: %+v, %v", ev, err)
 	}
@@ -276,7 +286,7 @@ func TestEngineCacheDisabledByPolicy(t *testing.T) {
 	// A shared cache is handed in, but the policy has Cache off.
 	eng := NewEngine(backend, Policy{}, NewCache())
 	for i := 0; i < 3; i++ {
-		if _, err := eng.EvaluateF(context.Background(), p, math.Inf(1)); err != nil {
+		if _, err := eng.EvaluateF(context.Background(), p, math.Inf(1), -1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +302,7 @@ func TestEnginePrunedNotificationAndIncumbent(t *testing.T) {
 	var prunes []Evaluation
 	eng.OnPruned = func(_ decomp.Point, ev Evaluation) { prunes = append(prunes, ev) }
 
-	ev, err := eng.EvaluateF(context.Background(), p, 50)
+	ev, err := eng.EvaluateF(context.Background(), p, 50, -1)
 	if err != nil || !ev.Pruned {
 		t.Fatalf("pruned evaluation: %+v, %v", ev, err)
 	}
@@ -300,11 +310,11 @@ func TestEnginePrunedNotificationAndIncumbent(t *testing.T) {
 		t.Fatalf("OnPruned notifications: %+v", prunes)
 	}
 	// The pruned bound (90) serves lower incumbents from the cache...
-	if ev, err := eng.EvaluateF(context.Background(), p, 40); err != nil || !ev.CacheHit {
+	if ev, err := eng.EvaluateF(context.Background(), p, 40, -1); err != nil || !ev.CacheHit {
 		t.Fatalf("bound not served for lower incumbent: %+v, %v", ev, err)
 	}
 	// ...but a higher incumbent needs a fresh evaluation.
-	if _, err := eng.EvaluateF(context.Background(), p, 95); err != nil {
+	if _, err := eng.EvaluateF(context.Background(), p, 95, -1); err != nil {
 		t.Fatal(err)
 	}
 	if backend.calls != 2 {
@@ -316,12 +326,12 @@ func TestEngineDoesNotCacheErrors(t *testing.T) {
 	p := testPoint(t)
 	backend := &fakeBackend{err: errors.New("boom")}
 	eng := NewEngine(backend, Policy{Cache: true}, NewCache())
-	if _, err := eng.EvaluateF(context.Background(), p, math.Inf(1)); err == nil {
+	if _, err := eng.EvaluateF(context.Background(), p, math.Inf(1), -1); err == nil {
 		t.Fatal("error not propagated")
 	}
 	backend.err = nil
 	backend.result = Evaluation{Value: 3}
-	ev, err := eng.EvaluateF(context.Background(), p, math.Inf(1))
+	ev, err := eng.EvaluateF(context.Background(), p, math.Inf(1), -1)
 	if err != nil || ev.CacheHit || ev.Value != 3 {
 		t.Fatalf("retry after error: %+v, %v", ev, err)
 	}

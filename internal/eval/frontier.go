@@ -97,88 +97,6 @@ func LiveBoundFrom(ctx context.Context) *Bound {
 	return b
 }
 
-// SlotBackend is implemented by backends whose evaluations draw their
-// Monte Carlo sample from a deterministic per-evaluation slot (the pdsat
-// Scope: sample = f(scope seed, slot)).  A frontier reserves one slot per
-// submitted candidate upfront, in submission order, so each candidate's
-// sample is independent of scheduling; slots of candidates that end up
-// cancelled or cache-served are deliberately burned to keep the assignment
-// deterministic.
-type SlotBackend interface {
-	Backend
-	// ReserveEvalSlots reserves n consecutive evaluation slots and returns
-	// the first.
-	ReserveEvalSlots(n int) int
-	// EvaluateSlot is EvaluateBudgeted with the sample drawn from the given
-	// pre-reserved slot instead of a freshly reserved one.
-	EvaluateSlot(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error)
-}
-
-// SlotEvaluator is the evaluator-level view of SlotBackend, implemented by
-// Engine (delegating to a SlotBackend backend) and by evaluator adapters
-// that wrap one.  A Frontier uses it when available and falls back to plain
-// EvaluateF otherwise.
-type SlotEvaluator interface {
-	Evaluator
-	// ReserveSlots reserves n consecutive evaluation slots and returns the
-	// first, or ok=false when the underlying backend does not support slots.
-	ReserveSlots(n int) (first int, ok bool)
-	// EvaluateSlotF is EvaluateF against a pre-reserved slot.
-	EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error)
-}
-
-// ReserveSlots implements SlotEvaluator: it forwards to the engine's
-// backend when that backend supports deterministic evaluation slots.
-func (e *Engine) ReserveSlots(n int) (int, bool) {
-	sb, ok := e.backend.(SlotBackend)
-	if !ok {
-		return 0, false
-	}
-	return sb.ReserveEvalSlots(n), true
-}
-
-// EvaluateSlotF implements SlotEvaluator: EvaluateF — cache lookup, policy
-// evaluation, memoization, hooks — with the sample pinned to a
-// pre-reserved slot.  A cache hit leaves the slot unused (deliberately:
-// the reservation, not the use, is what keeps sibling samples
-// scheduling-independent).
-func (e *Engine) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
-	key, variant := p.Key(), e.policy.variant()
-	if ev, ok := e.cache.Lookup(key, variant, incumbent); ok {
-		ev.CacheHit = true
-		if e.OnCacheHit != nil {
-			e.OnCacheHit(p, ev)
-		}
-		return &ev, nil
-	}
-	sb, ok := e.backend.(SlotBackend)
-	if !ok {
-		return e.settle(p, key, variant, incumbent)(e.backend.EvaluateBudgeted(ctx, p, e.policy, incumbent))
-	}
-	return e.settle(p, key, variant, incumbent)(sb.EvaluateSlot(ctx, p, e.policy, incumbent, slot))
-}
-
-// settle returns the shared post-processing of a backend evaluation:
-// incumbent stamping and the OnPruned hook for pruned results, cache
-// insertion for reusable ones.
-func (e *Engine) settle(p decomp.Point, key, variant string, incumbent float64) func(*Evaluation, error) (*Evaluation, error) {
-	return func(ev *Evaluation, err error) (*Evaluation, error) {
-		if ev == nil || err != nil {
-			// Interrupted or failed evaluations are not cached: their partial
-			// estimates are completion-censored, not reusable facts.
-			return ev, err
-		}
-		if ev.Pruned {
-			ev.Incumbent = incumbent
-			if e.OnPruned != nil {
-				e.OnPruned(p, *ev)
-			}
-		}
-		e.cache.Store(key, variant, *ev)
-		return ev, nil
-	}
-}
-
 // FrontierResult is one candidate's outcome, delivered to the process
 // callback in submission order.
 type FrontierResult struct {
@@ -234,7 +152,7 @@ func (f *Frontier) Run(ctx context.Context, candidates []decomp.Point, bound *Bo
 	lctx := WithLiveBound(ctx, bound)
 	if f.width <= 1 || n == 1 {
 		for i, p := range candidates {
-			ev, err := f.ev.EvaluateF(lctx, p, bound.Get())
+			ev, err := f.ev.EvaluateF(lctx, p, bound.Get(), -1)
 			lowerOnFull(bound, ev, err)
 			if process(FrontierResult{Index: i, Point: p, Eval: ev, Err: err}) {
 				return
@@ -247,11 +165,7 @@ func (f *Frontier) Run(ctx context.Context, candidates []decomp.Point, bound *Bo
 	// order: the sample each candidate draws is then a pure function of the
 	// backend seed and its slot, independent of which worker evaluates it
 	// when (and of how many candidates a stop later discards).
-	se, slotted := f.ev.(SlotEvaluator)
-	slotBase := 0
-	if slotted {
-		slotBase, slotted = se.ReserveSlots(n)
-	}
+	slotBase := f.ev.ReserveSlots(n)
 
 	width := f.width
 	if width > n {
@@ -278,13 +192,7 @@ func (f *Frontier) Run(ctx context.Context, candidates []decomp.Point, bound *Bo
 				cmu.Lock()
 				cancels[i] = cancel
 				cmu.Unlock()
-				var ev *Evaluation
-				var err error
-				if slotted {
-					ev, err = se.EvaluateSlotF(cctx, candidates[i], bound.Get(), slotBase+i)
-				} else {
-					ev, err = f.ev.EvaluateF(cctx, candidates[i], bound.Get())
-				}
+				ev, err := f.ev.EvaluateF(cctx, candidates[i], bound.Get(), slotBase+i)
 				cancel()
 				lowerOnFull(bound, ev, err)
 				results <- FrontierResult{Index: i, Point: candidates[i], Eval: ev, Err: err}

@@ -75,7 +75,7 @@ func frontierPoints(t testing.TB, n int) []decomp.Point {
 	return pts
 }
 
-// gateEvaluator is a SlotEvaluator whose evaluations block until a
+// gateEvaluator is an Evaluator whose evaluations block until a
 // controller releases them, so tests dictate the completion order exactly.
 // With prune set, a released evaluation whose scripted cost exceeds the
 // live bound returns a pruned lower-bound result, mimicking the real
@@ -104,19 +104,15 @@ func newGateEvaluator(pts []decomp.Point, costs []float64, prune bool) *gateEval
 	return g
 }
 
-func (g *gateEvaluator) ReserveSlots(n int) (int, bool) {
+func (g *gateEvaluator) ReserveSlots(n int) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	first := g.nextSlot
 	g.nextSlot += n
-	return first, true
+	return first
 }
 
-func (g *gateEvaluator) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*Evaluation, error) {
-	return g.EvaluateSlotF(ctx, p, incumbent, -1)
-}
-
-func (g *gateEvaluator) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
+func (g *gateEvaluator) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*Evaluation, error) {
 	key := p.Key()
 	ch := make(chan struct{})
 	g.mu.Lock()
@@ -404,67 +400,31 @@ func TestFrontierParentCancellation(t *testing.T) {
 	}
 }
 
-// fakeSlotBackend scripts per-slot results and records the slots used.
-type fakeSlotBackend struct {
-	fakeBackend
-	mu       sync.Mutex
-	nextSlot int
-	used     []int
-}
-
-func (b *fakeSlotBackend) ReserveEvalSlots(n int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	first := b.nextSlot
-	b.nextSlot += n
-	return first
-}
-
-func (b *fakeSlotBackend) EvaluateSlot(ctx context.Context, p decomp.Point, pol Policy, incumbent float64, slot int) (*Evaluation, error) {
-	b.mu.Lock()
-	b.used = append(b.used, slot)
-	b.mu.Unlock()
-	return b.EvaluateBudgeted(ctx, p, pol, incumbent)
-}
-
+// TestEngineEvaluateSlotF: the engine forwards reservations and the
+// evaluation's slot to its backend, and a cache hit leaves the slot unused.
 func TestEngineEvaluateSlotF(t *testing.T) {
 	p := testPoint(t)
-	backend := &fakeSlotBackend{fakeBackend: fakeBackend{result: Evaluation{Value: 7}}}
+	backend := &fakeBackend{result: Evaluation{Value: 7}}
 	eng := NewEngine(backend, Policy{Cache: true}, NewCache())
 
-	first, ok := eng.ReserveSlots(3)
-	if !ok || first != 0 {
-		t.Fatalf("ReserveSlots = (%d, %v), want (0, true)", first, ok)
+	if first := eng.ReserveSlots(3); first != 0 {
+		t.Fatalf("ReserveSlots = %d, want 0", first)
 	}
-	ev, err := eng.EvaluateSlotF(context.Background(), p, math.Inf(1), first+2)
+	ev, err := eng.EvaluateF(context.Background(), p, math.Inf(1), 2)
 	if err != nil || ev.Value != 7 || ev.CacheHit {
 		t.Fatalf("slot evaluation: %+v, %v", ev, err)
 	}
-	backend.mu.Lock()
-	used := append([]int(nil), backend.used...)
-	backend.mu.Unlock()
-	if len(used) != 1 || used[0] != 2 {
-		t.Fatalf("backend slots used = %v, want [2]", used)
+	if len(backend.used) != 1 || backend.used[0] != 2 {
+		t.Fatalf("backend slots used = %v, want [2]", backend.used)
 	}
 	// A second call is a cache hit: the backend is not consulted and the
 	// slot is deliberately burned.
-	ev, err = eng.EvaluateSlotF(context.Background(), p, math.Inf(1), first+1)
+	ev, err = eng.EvaluateF(context.Background(), p, math.Inf(1), 1)
 	if err != nil || !ev.CacheHit {
 		t.Fatalf("second slot evaluation not served from cache: %+v, %v", ev, err)
 	}
 	if backend.calls != 1 {
 		t.Fatalf("backend called %d times, want 1", backend.calls)
-	}
-}
-
-func TestEngineReserveSlotsWithoutSlotBackend(t *testing.T) {
-	eng := NewEngine(&fakeBackend{result: Evaluation{Value: 1}}, Policy{}, nil)
-	if _, ok := eng.ReserveSlots(4); ok {
-		t.Fatal("slot reservation succeeded on a backend without slots")
-	}
-	// EvaluateSlotF still works, falling back to the plain budgeted path.
-	if ev, err := eng.EvaluateSlotF(context.Background(), testPoint(t), math.Inf(1), 9); err != nil || ev.Value != 1 {
-		t.Fatalf("fallback slot evaluation: %+v, %v", ev, err)
 	}
 }
 

@@ -66,7 +66,7 @@ func RunPortfolioVsPartitioning(ctx context.Context, scale Scale) (*PortfolioVsP
 	// Partitioning of the unknown start variables with stop-on-SAT.
 	space := decomp.NewSpace(inst.UnknownStartVars())
 	runner := pdsat.NewRunner(inst.CNF, scale.runnerConfig(scale.SearchSamples))
-	est, err := runner.EvaluatePoint(ctx, space.FullPoint())
+	est, err := estimate(ctx, runner, space.FullPoint())
 	if err != nil {
 		return nil, err
 	}

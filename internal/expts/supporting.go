@@ -3,6 +3,7 @@ package expts
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/montecarlo"
@@ -70,7 +71,7 @@ func RunConvergence(ctx context.Context, scale Scale) (*ConvergenceResult, error
 			break
 		}
 		runner := pdsat.NewRunner(inst.CNF, scale.runnerConfig(n))
-		pe, err := runner.EvaluatePoint(ctx, point)
+		pe, err := estimate(ctx, runner, point)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +232,7 @@ func RunSolverAblation(ctx context.Context, scale Scale) (*AblationResult, error
 		cfg := scale.runnerConfig(scale.SearchSamples)
 		cfg.SolverOptions = cfgCase.opts
 		runner := pdsat.NewRunner(inst.CNF, cfg)
-		pe, err := runner.EvaluatePoint(ctx, point)
+		pe, err := estimate(ctx, runner, point)
 		if err != nil {
 			return nil, err
 		}
@@ -250,4 +251,10 @@ func (r *AblationResult) TableAblation() *Table {
 		t.Rows = append(t.Rows, []string{row.Name, fmtCost(row.MeanCost)})
 	}
 	return t
+}
+
+// estimate evaluates F at p in the runner's default scope under its
+// configured policy, with no incumbent.
+func estimate(ctx context.Context, r *pdsat.Runner, p decomp.Point) (*pdsat.PointEstimate, error) {
+	return r.DefaultScope().Evaluate(ctx, pdsat.Request{Point: p, Policy: r.Config().Policy, Incumbent: math.Inf(1), Slot: -1})
 }

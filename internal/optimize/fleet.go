@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/paper-repro/pdsat-go/internal/decomp"
+	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
 // Fleet method names (the pdsat package normalizes its richer spellings to
@@ -118,16 +119,16 @@ func (m memberView) Best() float64 { return m.in.Best() }
 func (m memberView) Offer(p decomp.Point, v float64) bool { return m.in.offer(m.member, p, v) }
 
 // FleetMember describes one search of a fleet: a method, a fully resolved
-// objective (typically backed by its own evaluation scope, so its sampling
+// evaluator (typically backed by its own evaluation scope, so its sampling
 // is independent of the other members' scheduling), a start point and
 // per-member options whose Seed has already been derived via SubSeed.
 type FleetMember struct {
 	// Method is MethodSA or MethodTabu.
 	Method string
-	// Objective evaluates F for this member.  Members may share one
-	// objective, but per-member objectives with isolated sampling state are
+	// Evaluator evaluates F for this member.  Members may share one
+	// evaluator, but per-member evaluators with isolated sampling state are
 	// what makes a fixed-seed fleet's results independent of interleaving.
-	Objective Objective
+	Evaluator eval.Evaluator
 	// Start is the member's starting decomposition set.
 	Start decomp.Point
 	// Opts are the member's search options; RunFleet injects the shared
@@ -179,18 +180,18 @@ type FleetResult struct {
 
 // RunFleet races the members concurrently, coupled through one shared
 // incumbent, and waits for all of them.  Members run their searches with
-// their own options and objectives; a member that hits its target value or
+// their own options and evaluators; a member that hits its target value or
 // exhausts its space ends the race for everyone (unless KeepRacing), and a
 // member's hard error cancels the fleet and is returned alongside the
 // partial result.  A fleet of one is bit-identical to calling its search
-// function directly with the same objective, start and options.
+// function directly with the same evaluator, start and options.
 func RunFleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*FleetResult, error) {
 	if len(members) == 0 {
 		return nil, errors.New("optimize: empty fleet")
 	}
 	for i, m := range members {
-		if m.Objective == nil {
-			return nil, fmt.Errorf("optimize: fleet member %d has no objective", i)
+		if m.Evaluator == nil {
+			return nil, fmt.Errorf("optimize: fleet member %d has no evaluator", i)
 		}
 		switch m.Method {
 		case MethodSA, MethodTabu:
@@ -226,9 +227,9 @@ func RunFleet(ctx context.Context, members []FleetMember, opts FleetOptions) (*F
 			var err error
 			switch m.Method {
 			case MethodSA:
-				res, err = SimulatedAnnealing(fctx, m.Objective, m.Start, o)
+				res, err = SimulatedAnnealing(fctx, m.Evaluator, m.Start, o)
 			default:
-				res, err = TabuSearch(fctx, m.Objective, m.Start, o)
+				res, err = TabuSearch(fctx, m.Evaluator, m.Start, o)
 			}
 			results[i] = MemberResult{Member: i, Method: m.Method, Result: res, Err: err}
 			if err != nil {

@@ -63,7 +63,7 @@ func TestFleetOfOneBitIdentical(t *testing.T) {
 		}
 		fr, err := RunFleet(context.Background(), []FleetMember{{
 			Method:    method,
-			Objective: newCountingObjective(target),
+			Evaluator: newCountingObjective(target),
 			Start:     space.FullPoint(),
 			Opts:      opts,
 		}}, FleetOptions{})
@@ -104,7 +104,7 @@ func TestFleetDeterministicAcrossRuns(t *testing.T) {
 			}
 			members[i] = FleetMember{
 				Method:    method,
-				Objective: newCountingObjective(target),
+				Evaluator: newCountingObjective(target),
 				Start:     space.FullPoint(),
 				Opts:      Options{Seed: SubSeed(5, 3*i+1), MaxEvaluations: 25},
 			}
@@ -145,9 +145,9 @@ func TestFleetSharedIncumbent(t *testing.T) {
 		improvements = append(improvements, v)
 	}
 	members := []FleetMember{
-		{Method: MethodTabu, Objective: newCountingObjective(target), Start: space.FullPoint(),
+		{Method: MethodTabu, Evaluator: newCountingObjective(target), Start: space.FullPoint(),
 			Opts: Options{Seed: 3, MaxEvaluations: 60}},
-		{Method: MethodSA, Objective: newCountingObjective(target), Start: space.FullPoint(),
+		{Method: MethodSA, Evaluator: newCountingObjective(target), Start: space.FullPoint(),
 			Opts: Options{Seed: 4, MaxEvaluations: 60}},
 	}
 	fr, err := RunFleet(context.Background(), members, FleetOptions{Shared: inc, KeepRacing: true})
@@ -190,7 +190,7 @@ func TestFleetTargetStop(t *testing.T) {
 	for i := range members {
 		members[i] = FleetMember{
 			Method:    MethodTabu,
-			Objective: newCountingObjective(target),
+			Evaluator: newCountingObjective(target),
 			Start:     space.FullPoint(),
 			// F = 1 + |χ Δ target|; the full start point of an 8-var space
 			// scores 1+5=6, so a target of 5 is hit on the first improvement.
@@ -223,7 +223,7 @@ func TestFleetValidation(t *testing.T) {
 		t.Fatal("empty fleet accepted")
 	}
 	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Method: "genetic", Objective: obj, Start: space.FullPoint()},
+		{Method: "genetic", Evaluator: obj, Start: space.FullPoint()},
 	}, FleetOptions{}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
@@ -233,12 +233,12 @@ func TestFleetValidation(t *testing.T) {
 		t.Fatal("nil objective accepted")
 	}
 	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Method: MethodTabu, Objective: obj, Start: space.FullPoint(), Opts: Options{Radius: -1}},
+		{Method: MethodTabu, Evaluator: obj, Start: space.FullPoint(), Opts: Options{Radius: -1}},
 	}, FleetOptions{}); err == nil {
 		t.Fatal("invalid member options accepted")
 	}
 	if _, err := RunFleet(context.Background(), []FleetMember{
-		{Method: MethodTabu, Objective: obj, Start: space.FullPoint(), Opts: Options{TargetValue: -1}},
+		{Method: MethodTabu, Evaluator: obj, Start: space.FullPoint(), Opts: Options{TargetValue: -1}},
 	}, FleetOptions{}); err == nil {
 		t.Fatal("negative target accepted")
 	}

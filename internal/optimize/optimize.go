@@ -4,7 +4,7 @@
 //
 // Both algorithms move between points χ of a finite search space (subsets of
 // the starting decomposition set, see package decomp), evaluating the
-// predictive function F(χ) through an Objective.  Because a single
+// predictive function F(χ) through an eval.Evaluator.  Because a single
 // evaluation is expensive (it solves a random sample of subproblems), both
 // algorithms cache values of already-visited points; the tabu search
 // additionally maintains the two tabu lists L1 (points with fully checked
@@ -27,30 +27,8 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
-// Objective computes the predictive function value at a point of the search
-// space.  Implementations are typically backed by a pdsat.Runner.
-//
-// Objectives that additionally implement eval.Evaluator get the searches'
-// incumbent — the best F value certified so far — threaded into every
-// evaluation, enabling the evaluation engine's incumbent pruning: a pruned
-// evaluation returns a certified lower bound above the incumbent instead of
-// paying for the full sample, and the searches treat such points as "worse
-// than best" (recorded with Visit.Pruned set).  Objectives without the
-// interface are evaluated exactly as before.
-type Objective interface {
-	Evaluate(ctx context.Context, p decomp.Point) (float64, error)
-}
-
-// ObjectiveFunc adapts a function to the Objective interface.
-type ObjectiveFunc func(ctx context.Context, p decomp.Point) (float64, error)
-
-// Evaluate implements Objective.
-func (f ObjectiveFunc) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	return f(ctx, p)
-}
-
-// ActivitySource exposes per-variable conflict activity.  When the objective
-// also implements this interface, the tabu search uses it for the
+// ActivitySource exposes per-variable conflict activity.  When the
+// evaluator also implements this interface, the tabu search uses it for the
 // getNewCenter heuristic of the paper ("the point for which the total
 // conflict activity of Boolean variables contained in the corresponding
 // decomposition set is the largest").
@@ -110,24 +88,20 @@ type Options struct {
 	// worse than the fleet's best, which is all a minimizer needs to know.
 	Shared SharedIncumbent
 
-	// MaxConcurrentEvals routes the neighbourhood loops through the
-	// asynchronous evaluation scheduler (eval.Frontier): up to this many
-	// candidate evaluations are kept in flight on the transport at once,
-	// with the live best value threaded into every one so siblings prune
-	// each other, and the in-flight rest cancelled once a neighbourhood's
-	// outcome is decided.  0 keeps the plain sequential loops (the
-	// deterministic regression anchor); 1 drives the scheduler one
-	// candidate at a time, bit-identical to 0 for the tabu search and the
-	// simulated annealing alike; values above 1 pipeline evaluations and
-	// require the objective to be safe for concurrent use.  See
-	// doc comments in scheduler.go for the determinism rule.
+	// MaxConcurrentEvals is the width of the asynchronous evaluation
+	// scheduler (eval.Frontier) the neighbourhood loops run on: up to this
+	// many candidate evaluations are kept in flight on the transport at
+	// once, with the live best value threaded into every one so siblings
+	// prune each other, and the in-flight rest cancelled once a
+	// neighbourhood's outcome is decided.  0 means 1: one candidate at a
+	// time, the deterministic regression anchor; values above 1 pipeline
+	// evaluations and require the evaluator to be safe for concurrent use.
+	// See doc comments in scheduler.go for the determinism rule.
 	MaxConcurrentEvals int
 
 	// NeighborhoodObserver, when non-nil, is called after every
-	// neighbourhood pass the scheduler completes (tabu neighbourhoods and
-	// simulated-annealing waves), from the search's goroutine.  It is only
-	// called when MaxConcurrentEvals ≥ 1; the sequential loops predate the
-	// neighbourhood notion and emit nothing.
+	// neighbourhood pass (tabu neighbourhoods and simulated-annealing
+	// waves), from the search's goroutine.
 	NeighborhoodObserver func(Neighborhood)
 }
 
@@ -180,7 +154,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("optimize: invalid target value %v (use 0 to disable the target stop)", o.TargetValue)
 	}
 	if o.MaxConcurrentEvals < 0 {
-		return fmt.Errorf("optimize: negative evaluation concurrency %d (use 0 for the sequential loops)",
+		return fmt.Errorf("optimize: negative evaluation concurrency %d (use 0 or 1 for one evaluation at a time)",
 			o.MaxConcurrentEvals)
 	}
 	return nil
@@ -217,6 +191,7 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = def.Seed
 	}
+	o.MaxConcurrentEvals = max(o.MaxConcurrentEvals, 1)
 	return o
 }
 
@@ -276,15 +251,14 @@ func (r *Result) String() string {
 
 // search bundles state shared by both algorithms.
 type search struct {
-	obj Objective
-	// ev is the budget-aware view of the objective, set when obj implements
-	// eval.Evaluator; the searches then thread their incumbent into every
-	// evaluation.
-	ev     eval.Evaluator
-	opts   Options
-	rng    *rand.Rand
-	start  time.Time
-	values map[string]float64
+	ev eval.Evaluator
+	// activity is ev's conflict activity when it provides one (nil
+	// otherwise).
+	activity ActivitySource
+	opts     Options
+	rng      *rand.Rand
+	start    time.Time
+	values   map[string]float64
 	// prunedPts marks points whose cached value is a pruned lower bound
 	// rather than a full estimate.
 	prunedPts map[string]bool
@@ -294,9 +268,9 @@ type search struct {
 	stopped   StopReason
 }
 
-func newSearch(obj Objective, opts Options) *search {
+func newSearch(ev eval.Evaluator, opts Options) *search {
 	s := &search{
-		obj:  obj,
+		ev:   ev,
 		opts: opts,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 		//pdsat:nondeterministic anchors the MaxTime budget and WallTime reporting; never feeds F values
@@ -305,19 +279,17 @@ func newSearch(obj Objective, opts Options) *search {
 		prunedPts: make(map[string]bool),
 		points:    make(map[string]decomp.Point),
 	}
-	if ev, ok := obj.(eval.Evaluator); ok {
-		s.ev = ev
-	}
+	s.activity, _ = ev.(ActivitySource)
 	return s
 }
 
 var errStop = errors.New("optimize: stop")
 
 // evaluate returns F(p), consulting the search's value cache first.  fresh
-// reports whether an objective evaluation was actually performed; pruned
-// that the value is a certified lower bound from an incumbent-pruned
-// evaluation (only possible when the objective implements eval.Evaluator
-// and the incumbent is finite).  A pruned value exceeds the incumbent it
+// reports whether an evaluation was actually performed; pruned that the
+// value is a certified lower bound from an incumbent-pruned evaluation
+// (only possible when the incumbent is finite).  Evaluations draw the next
+// free evaluation slot.  A pruned value exceeds the incumbent it
 // was pruned against, and incumbents (best values) only decrease during a
 // search, so a cached pruned bound keeps proving its point worse for the
 // rest of the run.
@@ -340,21 +312,10 @@ func (s *search) evaluate(ctx context.Context, p decomp.Point, incumbent float64
 			incumbent = g
 		}
 	}
-	var v float64
-	var pruned bool
-	var err error
-	if s.ev != nil {
-		var evn *eval.Evaluation
-		evn, err = s.ev.EvaluateF(ctx, p, incumbent)
-		if err == nil {
-			v, pruned = evn.Value, evn.Pruned
-		}
-	} else {
-		v, err = s.obj.Evaluate(ctx, p)
-	}
+	evn, err := s.ev.EvaluateF(ctx, p, incumbent, -1)
 	if err != nil {
 		if ctx.Err() != nil {
-			// The objective was interrupted by a cancellation that raced
+			// The evaluation was interrupted by a cancellation that raced
 			// past the checkBudgets call above; end the search gracefully
 			// (best-so-far result, StopContext) instead of failing it.
 			s.stopped = StopContext
@@ -362,13 +323,13 @@ func (s *search) evaluate(ctx context.Context, p decomp.Point, incumbent float64
 		}
 		return 0, false, false, err
 	}
-	s.values[key] = v
-	if pruned {
+	s.values[key] = evn.Value
+	if evn.Pruned {
 		s.prunedPts[key] = true
 	}
 	s.points[key] = p
 	s.evals++
-	return v, true, pruned, nil
+	return evn.Value, true, evn.Pruned, nil
 }
 
 // checkBudgets returns errStop (after recording the reason) if a budget is
@@ -439,32 +400,17 @@ func (s *search) result(best decomp.Point, bestValue float64) *Result {
 	}
 }
 
-// pickUnchecked returns a pseudo-random element of candidates whose key is
-// not in the checked set, or false if none remain.
-func (s *search) pickUnchecked(candidates []decomp.Point, checked map[string]bool) (decomp.Point, bool) {
-	unchecked := make([]decomp.Point, 0, len(candidates))
-	for _, c := range candidates {
-		if !checked[c.Key()] {
-			unchecked = append(unchecked, c)
-		}
-	}
-	if len(unchecked) == 0 {
-		return decomp.Point{}, false
-	}
-	return unchecked[s.rng.Intn(len(unchecked))], true
-}
-
-// SimulatedAnnealing minimizes the objective starting from the given point,
+// SimulatedAnnealing minimizes F starting from the given point,
 // following Algorithm 1 of the paper.  The returned result always reports
 // the best point seen over the whole run (the pseudocode's χ_best tracks the
 // accepted centre; we additionally remember the global minimum, which is
 // what a user of the partitioning actually wants).
-func SimulatedAnnealing(ctx context.Context, obj Objective, start decomp.Point, opts Options) (*Result, error) {
+func SimulatedAnnealing(ctx context.Context, ev eval.Evaluator, start decomp.Point, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	s := newSearch(obj, opts)
+	s := newSearch(ev, opts)
 
 	centerValue, _, _, err := s.evaluate(ctx, start, math.Inf(1))
 	if err != nil {
@@ -488,83 +434,7 @@ func SimulatedAnnealing(ctx context.Context, obj Objective, start decomp.Point, 
 		temperature = math.Max(centerValue*0.1, 1)
 	}
 
-	if s.frontierWidth() > 0 {
-		return s.annealScheduled(ctx, center, centerValue, best, bestValue, temperature)
-	}
-
-	for {
-		if err := s.checkBudgets(ctx); err != nil {
-			return s.result(best, bestValue), nil
-		}
-		if temperature < opts.MinTemperature {
-			s.stopped = StopTemperature
-			return s.result(best, bestValue), nil
-		}
-
-		bestValueUpdated := false
-		radius := opts.Radius
-		checked := map[string]bool{center.Key(): true}
-		for !bestValueUpdated {
-			neighborhood := center.Neighbors(radius)
-			chi, ok := s.pickUnchecked(neighborhood, checked)
-			if !ok {
-				// Neighbourhood exhausted at this radius.
-				if radius < opts.MaxRadius {
-					radius++
-					continue
-				}
-				s.stopped = StopNoImprovment
-				return s.result(best, bestValue), nil
-			}
-			// The incumbent is the global best: a point pruned against it
-			// can never improve the run's result.  The returned lower bound
-			// feeds the acceptance rule below; since the bound understates
-			// F, a pruned point is — if anything — accepted slightly more
-			// often than its true value would be, preserving the
-			// hill-escaping of the annealing.
-			value, _, prunedEval, err := s.evaluate(ctx, chi, bestValue)
-			if err != nil {
-				if errors.Is(err, errStop) {
-					return s.result(best, bestValue), nil
-				}
-				return nil, err
-			}
-			checked[chi.Key()] = true
-
-			accepted := s.pointAccepted(value, centerValue, temperature)
-			// A pruned value is a lower bound proving the point worse than
-			// the fleet incumbent, never a new best (without a fleet the
-			// bound exceeds bestValue anyway, so the guard changes nothing).
-			improved := value < bestValue && !prunedEval
-			s.record(chi, value, accepted, improved, prunedEval)
-			if accepted {
-				center, centerValue = chi, value
-				if improved {
-					best, bestValue = chi, value
-					s.offerBest(best, bestValue)
-					if s.targetReached(bestValue) {
-						return s.result(best, bestValue), nil
-					}
-				}
-				bestValueUpdated = true
-			}
-			if allChecked(neighborhood, checked) && !bestValueUpdated {
-				radius++
-				if radius > opts.MaxRadius {
-					s.stopped = StopNoImprovment
-					return s.result(best, bestValue), nil
-				}
-			}
-			temperature *= opts.CoolingFactor
-			if temperature < opts.MinTemperature {
-				s.stopped = StopTemperature
-				return s.result(best, bestValue), nil
-			}
-			if err := s.checkBudgets(ctx); err != nil {
-				return s.result(best, bestValue), nil
-			}
-		}
-	}
+	return s.anneal(ctx, center, centerValue, best, bestValue, temperature)
 }
 
 // pointAccepted implements the acceptance rule of Algorithm 1.
@@ -588,19 +458,19 @@ func allChecked(points []decomp.Point, checked map[string]bool) bool {
 	return true
 }
 
-// TabuSearch minimizes the objective starting from the given point,
-// following Algorithm 2 of the paper.  L1 holds points whose whole
-// neighbourhood has been checked, L2 holds checked points with unchecked
-// neighbourhoods; when the current neighbourhood yields no improvement the
-// next centre is the L2 point with the largest total conflict activity of
-// its decomposition set (falling back to the best F value when the
-// objective provides no activity information).
-func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Options) (*Result, error) {
+// TabuSearch minimizes F starting from the given point, following
+// Algorithm 2 of the paper.  L1 holds points whose whole neighbourhood has
+// been checked, L2 holds checked points with unchecked neighbourhoods; when
+// the current neighbourhood yields no improvement the next centre is the L2
+// point with the largest total conflict activity of its decomposition set
+// (falling back to the best F value when the evaluator is no
+// ActivitySource).
+func TabuSearch(ctx context.Context, ev eval.Evaluator, start decomp.Point, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	s := newSearch(obj, opts)
+	s := newSearch(ev, opts)
 
 	startValue, _, _, err := s.evaluate(ctx, start, math.Inf(1))
 	if err != nil {
@@ -624,90 +494,24 @@ func TabuSearch(ctx context.Context, obj Objective, start decomp.Point, opts Opt
 		if err := s.checkBudgets(ctx); err != nil {
 			return s.result(best, bestValue), nil
 		}
-		if s.frontierWidth() > 0 {
-			updated, err := s.tabuNeighborhoodScheduled(ctx, tl, center, &best, &bestValue)
-			if err != nil {
-				if errors.Is(err, errStop) {
-					return s.result(best, bestValue), nil
-				}
-				return nil, err
-			}
-			if updated {
-				center = best
-				continue
-			}
-			next, ok := tl.getNewCenter(s.obj)
-			if !ok {
-				s.stopped = StopExhausted
+		updated, err := s.tabuNeighborhood(ctx, tl, center, &best, &bestValue)
+		if err != nil {
+			if errors.Is(err, errStop) {
 				return s.result(best, bestValue), nil
 			}
-			center = next
-			continue
+			return nil, err
 		}
-		bestValueUpdated := false
-		neighborhood := center.Neighbors(opts.Radius)
-		for {
-			chi, ok := s.pickUncheckedTabu(neighborhood)
-			if !ok {
-				break // neighbourhood of the centre fully checked
-			}
-			// The incumbent is the best value so far: a pruned point's lower
-			// bound exceeds it, so `improved` below is false for every
-			// pruned evaluation — exactly the information the tabu search
-			// needs from a worse point, at a fraction of the solving.
-			value, fresh, prunedEval, err := s.evaluate(ctx, chi, bestValue)
-			if err != nil {
-				if errors.Is(err, errStop) {
-					return s.result(best, bestValue), nil
-				}
-				return nil, err
-			}
-			if fresh {
-				tl.addChecked(chi, value, s.values)
-			}
-			// Pruned lower bounds never become the best value (see the SA
-			// loop for the fleet rationale; uncoupled runs are unaffected).
-			improved := value < bestValue && !prunedEval
-			s.record(chi, value, improved, improved, prunedEval)
-			if improved {
-				best, bestValue = chi, value
-				s.offerBest(best, bestValue)
-				if s.targetReached(bestValue) {
-					return s.result(best, bestValue), nil
-				}
-				bestValueUpdated = true
-			}
-			if err := s.checkBudgets(ctx); err != nil {
-				return s.result(best, bestValue), nil
-			}
-		}
-		if bestValueUpdated {
+		if updated {
 			center = best
 			continue
 		}
-		next, ok := tl.getNewCenter(s.obj)
+		next, ok := tl.getNewCenter(s.activity)
 		if !ok {
 			s.stopped = StopExhausted
 			return s.result(best, bestValue), nil
 		}
 		center = next
 	}
-}
-
-// pickUncheckedTabu returns a pseudo-random neighbourhood point that has not
-// been evaluated yet (the tabu lists make "checked anywhere" equivalent to
-// "has a cached value").
-func (s *search) pickUncheckedTabu(candidates []decomp.Point) (decomp.Point, bool) {
-	unchecked := make([]decomp.Point, 0, len(candidates))
-	for _, c := range candidates {
-		if _, seen := s.values[c.Key()]; !seen {
-			unchecked = append(unchecked, c)
-		}
-	}
-	if len(unchecked) == 0 {
-		return decomp.Point{}, false
-	}
-	return unchecked[s.rng.Intn(len(unchecked))], true
 }
 
 // tabuLists implements the L1/L2 bookkeeping of Algorithm 2.
@@ -767,12 +571,11 @@ func (t *tabuLists) addChecked(p decomp.Point, value float64, values map[string]
 
 // getNewCenter implements the heuristic of the paper: among L2 points pick
 // the one whose decomposition set has the largest total conflict activity;
-// objectives without activity information fall back to the smallest F value.
-func (t *tabuLists) getNewCenter(obj Objective) (decomp.Point, bool) {
+// without an activity source (nil) it falls back to the smallest F value.
+func (t *tabuLists) getNewCenter(src ActivitySource) (decomp.Point, bool) {
 	if len(t.l2) == 0 {
 		return decomp.Point{}, false
 	}
-	src, hasActivity := obj.(ActivitySource)
 	keys := make([]string, 0, len(t.l2))
 	for key := range t.l2 {
 		keys = append(keys, key)
@@ -784,7 +587,7 @@ func (t *tabuLists) getNewCenter(obj Objective) (decomp.Point, bool) {
 	for _, key := range keys {
 		e := t.l2[key]
 		var score float64
-		if hasActivity {
+		if src != nil {
 			for _, v := range e.point.Vars() {
 				score += src.VarActivity(v)
 			}

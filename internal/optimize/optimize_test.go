@@ -10,6 +10,7 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
+	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
 // makeSpace builds a search space over n variables 1..n.
@@ -38,7 +39,9 @@ func newCountingObjective(target []cnf.Var) *countingObjective {
 	return &countingObjective{target: m, activity: map[cnf.Var]float64{}}
 }
 
-func (o *countingObjective) Evaluate(_ context.Context, p decomp.Point) (float64, error) {
+func (o *countingObjective) ReserveSlots(int) int { return 0 }
+
+func (o *countingObjective) EvaluateF(_ context.Context, p decomp.Point, _ float64, _ int) (*eval.Evaluation, error) {
 	o.evaluations++
 	diff := 0
 	selected := make(map[cnf.Var]bool)
@@ -53,22 +56,23 @@ func (o *countingObjective) Evaluate(_ context.Context, p decomp.Point) (float64
 			diff++
 		}
 	}
-	return 1 + float64(diff), nil
+	return &eval.Evaluation{Value: 1 + float64(diff)}, nil
 }
 
 func (o *countingObjective) VarActivity(v cnf.Var) float64 { return o.activity[v] }
 
-func TestObjectiveFuncAdapter(t *testing.T) {
-	called := false
-	f := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) {
-		called = true
-		return float64(p.Count()), nil
-	})
-	s := makeSpace(3)
-	v, err := f.Evaluate(context.Background(), s.FullPoint())
-	if err != nil || v != 3 || !called {
-		t.Fatal("ObjectiveFunc adapter misbehaves")
+// evalFunc adapts a plain F function to eval.Evaluator (no slots, no
+// pruning).
+type evalFunc func(ctx context.Context, p decomp.Point) (float64, error)
+
+func (f evalFunc) ReserveSlots(int) int { return 0 }
+
+func (f evalFunc) EvaluateF(ctx context.Context, p decomp.Point, _ float64, _ int) (*eval.Evaluation, error) {
+	v, err := f(ctx, p)
+	if err != nil {
+		return nil, err
 	}
+	return &eval.Evaluation{Value: v}, nil
 }
 
 func TestSimulatedAnnealingFindsTarget(t *testing.T) {
@@ -185,7 +189,7 @@ func TestEvaluationBudgetStopsSearch(t *testing.T) {
 
 func TestTimeBudgetStopsSearch(t *testing.T) {
 	s := makeSpace(10)
-	slow := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) {
+	slow := evalFunc(func(_ context.Context, p decomp.Point) (float64, error) {
 		time.Sleep(2 * time.Millisecond)
 		return float64(p.Count()), nil
 	})
@@ -202,7 +206,7 @@ func TestContextCancellationStopsSearch(t *testing.T) {
 	s := makeSpace(10)
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	obj := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) {
+	obj := evalFunc(func(_ context.Context, p decomp.Point) (float64, error) {
 		n++
 		if n == 3 {
 			cancel()
@@ -222,7 +226,7 @@ func TestObjectiveErrorPropagates(t *testing.T) {
 	s := makeSpace(6)
 	boom := errors.New("boom")
 	n := 0
-	obj := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) {
+	obj := evalFunc(func(_ context.Context, p decomp.Point) (float64, error) {
 		n++
 		if n > 2 {
 			return 0, boom
@@ -300,8 +304,7 @@ func TestGetNewCenterUsesActivity(t *testing.T) {
 		t.Fatalf("activity heuristic should pick the set containing variable 3, got %v", center.SortedVars())
 	}
 	// Without activity information the fall-back picks the better F value.
-	plain := ObjectiveFunc(func(_ context.Context, p decomp.Point) (float64, error) { return 0, nil })
-	center, ok = tl.getNewCenter(plain)
+	center, ok = tl.getNewCenter(nil)
 	if !ok {
 		t.Fatal("expected a centre")
 	}
@@ -344,7 +347,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 }
 
 func TestPointAcceptedRule(t *testing.T) {
-	s := newSearch(ObjectiveFunc(func(context.Context, decomp.Point) (float64, error) { return 0, nil }),
+	s := newSearch(evalFunc(func(context.Context, decomp.Point) (float64, error) { return 0, nil }),
 		Options{Seed: 1}.withDefaults())
 	if !s.pointAccepted(1, 2, 0.5) {
 		t.Fatal("improving point must always be accepted")

@@ -1,18 +1,19 @@
 package optimize
 
-// Neighborhood-parallel search: the scheduler-driven variants of the two
-// metaheuristics' inner loops, active when Options.MaxConcurrentEvals ≥ 1.
+// Neighborhood-parallel search: the scheduler-driven inner loops of the
+// two metaheuristics, at width Options.MaxConcurrentEvals (0 meaning 1).
 //
 // The tabu search pre-draws the visit order of a whole neighbourhood —
-// consuming the search RNG exactly as the sequential one-pick-at-a-time
-// loop would, which is what makes width 1 bit-identical to the sequential
-// path — and submits it to an eval.Frontier: up to `width` candidate
+// consuming the search RNG exactly as picking one unchecked neighbour at a
+// time would, so the walk is the same at every width when nothing is
+// pruned — and submits it to an eval.Frontier: up to `width` candidate
 // evaluations run concurrently on the transport, the live best value is
 // threaded into every one (siblings prune each other as results stream
 // back), and results are processed strictly in visit order.  The simulated
 // annealing speculates in waves of `width` pre-drawn candidates; an
 // acceptance decides the wave, and the in-flight rest is cancelled and
-// discarded whole.
+// discarded whole.  At width 1 every pass evaluates one candidate at a
+// time on the search's goroutine, the deterministic regression anchor.
 //
 // Determinism rule.  Pre-reserved evaluation slots make every candidate's
 // Monte Carlo sample a pure function of (scope seed, slot), so full
@@ -37,9 +38,9 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
-// Neighborhood summarizes one completed neighbourhood pass of a
-// scheduler-driven search: a whole tabu neighbourhood, or one speculative
-// wave of the simulated annealing.
+// Neighborhood summarizes one completed neighbourhood pass of a search: a
+// whole tabu neighbourhood, or one speculative wave of the simulated
+// annealing.
 type Neighborhood struct {
 	// Center is the pass's neighbourhood centre; Radius its radius.
 	Center decomp.Point
@@ -61,40 +62,11 @@ type Neighborhood struct {
 	Width int
 }
 
-// frontierWidth returns the scheduler width, 0 meaning the plain
-// sequential loops.
-func (s *search) frontierWidth() int {
-	if s.opts.MaxConcurrentEvals <= 0 {
-		return 0
-	}
-	return s.opts.MaxConcurrentEvals
-}
-
 // observeNeighborhood reports a completed pass to the configured observer.
 func (s *search) observeNeighborhood(nb Neighborhood) {
 	if s.opts.NeighborhoodObserver != nil {
 		s.opts.NeighborhoodObserver(nb)
 	}
-}
-
-// frontierEvaluator is the evaluator the scheduler submits to: the
-// objective's budget-aware view when it has one, otherwise a plain
-// adapter (no pruning, the estimate is the value).
-func (s *search) frontierEvaluator() eval.Evaluator {
-	if s.ev != nil {
-		return s.ev
-	}
-	return objectiveEvaluator{obj: s.obj}
-}
-
-type objectiveEvaluator struct{ obj Objective }
-
-func (o objectiveEvaluator) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	v, err := o.obj.Evaluate(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return &eval.Evaluation{Value: v}, nil
 }
 
 // frontierBound seeds a wave's live incumbent bound from the search's best
@@ -108,12 +80,12 @@ func (s *search) frontierBound(bestValue float64) *eval.Bound {
 }
 
 // drawTabuOrder pre-draws the complete visit order of one tabu
-// neighbourhood.  It consumes the search RNG exactly as the sequential
-// loop's repeated pickUncheckedTabu calls would (same filtered slice, same
-// Intn argument at every step), because an evaluation never touches the
-// RNG and the tabu search always exhausts a neighbourhood it enters — the
-// only early exits end the whole search, after which the RNG is never
-// read again.
+// neighbourhood.  It consumes the search RNG exactly as repeatedly picking
+// one unvalued neighbour at random would (same filtered slice, same Intn
+// argument at every step), because an evaluation never touches the RNG and
+// the tabu search always exhausts a neighbourhood it enters — the only
+// early exits end the whole search, after which the RNG is never read
+// again.
 func (s *search) drawTabuOrder(candidates []decomp.Point) []decomp.Point {
 	taken := make(map[string]bool, len(candidates))
 	order := make([]decomp.Point, 0, len(candidates))
@@ -138,11 +110,11 @@ func (s *search) drawTabuOrder(candidates []decomp.Point) []decomp.Point {
 	}
 }
 
-// drawWave pre-draws up to k distinct candidates the way the annealing's
-// sequential pickUnchecked would draw them one by one (the checked set,
-// unlike the tabu filter, resets per centre and admits re-visits of
+// drawWave pre-draws up to k distinct candidates the way picking one
+// unchecked neighbour at random would draw them one by one (the checked
+// set, unlike the tabu filter, resets per centre and admits re-visits of
 // points valued in earlier neighbourhoods — those are served from the
-// search's value cache without an evaluation, in either mode).
+// search's value cache without an evaluation).
 func (s *search) drawWave(candidates []decomp.Point, checked map[string]bool, k int) []decomp.Point {
 	wave := make([]decomp.Point, 0, k)
 	taken := make(map[string]bool, k)
@@ -188,15 +160,14 @@ func (s *search) frontierValue(ctx context.Context, r eval.FrontierResult) (floa
 
 // runWave drives one pre-drawn candidate sequence through the scheduler
 // and the handler.  incumbent is re-read per candidate (the handler may
-// improve the best value mid-wave), exactly like the sequential loops
-// pass their live best value into every evaluation.  Results reach the
-// handler strictly in wave order; the returned count is how many members
-// the handler processed (the rest were cancelled or never submitted).  At
-// width 1 the wave is evaluated sequentially through s.evaluate,
-// reproducing the sequential loops' per-candidate budget checks and
-// value-cache behaviour bit for bit.
+// improve the best value mid-wave), so every evaluation gets the live best
+// value.  Results reach the handler strictly in wave order; the returned
+// count is how many members the handler processed (the rest were
+// cancelled or never submitted).  At width 1 the wave is evaluated one
+// candidate at a time through s.evaluate, with a budget check before each
+// evaluation and an evaluation slot drawn only on a real evaluation.
 func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent func() float64, handle waveHandler) (int, error) {
-	width := s.frontierWidth()
+	width := s.opts.MaxConcurrentEvals
 	processed := 0
 	if width <= 1 {
 		for _, chi := range wave {
@@ -262,7 +233,7 @@ func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent fun
 		pts[j] = wave[i]
 	}
 	bound := s.frontierBound(incumbent())
-	fr := eval.NewFrontier(s.frontierEvaluator(), width)
+	fr := eval.NewFrontier(s.ev, width)
 	fr.Run(ctx, pts, bound, func(r eval.FrontierResult) bool {
 		if processCached(need[r.Index]) {
 			done = true
@@ -307,11 +278,11 @@ func (s *search) runWave(ctx context.Context, wave []decomp.Point, incumbent fun
 	return processed, stopErr
 }
 
-// tabuNeighborhoodScheduled runs one whole tabu neighbourhood through the
+// tabuNeighborhood runs one whole tabu neighbourhood through the
 // scheduler and reports whether it improved the best value.  A returned
 // errStop ends the search gracefully (the stop reason is already
 // recorded); other errors are hard failures.
-func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, center decomp.Point, best *decomp.Point, bestValue *float64) (bool, error) {
+func (s *search) tabuNeighborhood(ctx context.Context, tl *tabuLists, center decomp.Point, best *decomp.Point, bestValue *float64) (bool, error) {
 	order := s.drawTabuOrder(center.Neighbors(s.opts.Radius))
 	if len(order) == 0 {
 		return false, nil
@@ -320,7 +291,7 @@ func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, c
 		Center:     center,
 		Radius:     s.opts.Radius,
 		Candidates: len(order),
-		Width:      s.frontierWidth(),
+		Width:      s.opts.MaxConcurrentEvals,
 	}
 	updated := false
 	handle := func(chi decomp.Point, value float64, prunedEval, fresh bool) (bool, error) {
@@ -331,6 +302,12 @@ func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, c
 		if prunedEval {
 			stats.Pruned++
 		}
+		// The incumbent is the best value so far: a pruned point's lower
+		// bound exceeds it, so improved is false for every pruned
+		// evaluation — exactly the information the tabu search needs from
+		// a worse point, at a fraction of the solving.  With a fleet's
+		// foreign incumbent the bound may undercut the search's own best,
+		// hence the explicit guard.
 		improved := value < *bestValue && !prunedEval
 		s.record(chi, value, improved, improved, prunedEval)
 		if improved {
@@ -354,16 +331,15 @@ func (s *search) tabuNeighborhoodScheduled(ctx context.Context, tl *tabuLists, c
 	return updated, err
 }
 
-// annealScheduled is the simulated annealing's main loop in scheduler
-// mode: speculative waves of up to `width` pre-drawn candidates, an
-// acceptance decides the wave and discards its unprocessed rest whole
-// (never recorded, not even in the search's value cache, so the decision
-// sequence matches what a sequential run would do from the same
-// acceptance).  At width 1 every wave holds one candidate and the walk is
-// bit-identical to the sequential loop.
-func (s *search) annealScheduled(ctx context.Context, center decomp.Point, centerValue float64, best decomp.Point, bestValue, temperature float64) (*Result, error) {
+// anneal is the simulated annealing's main loop: speculative waves of up
+// to `width` pre-drawn candidates, an acceptance decides the wave and
+// discards its unprocessed rest whole (never recorded, not even in the
+// search's value cache, so the decision sequence matches what a
+// one-at-a-time run would do from the same acceptance).  At width 1 every
+// wave holds one candidate.
+func (s *search) anneal(ctx context.Context, center decomp.Point, centerValue float64, best decomp.Point, bestValue, temperature float64) (*Result, error) {
 	opts := s.opts
-	width := s.frontierWidth()
+	width := s.opts.MaxConcurrentEvals
 	for {
 		if err := s.checkBudgets(ctx); err != nil {
 			return s.result(best, bestValue), nil
@@ -401,6 +377,13 @@ func (s *search) annealScheduled(ctx context.Context, center decomp.Point, cente
 				if prunedEval {
 					stats.Pruned++
 				}
+				// The incumbent is the global best: a point pruned against
+				// it can never improve the run's result.  Its lower bound
+				// feeds the acceptance rule; since the bound understates F,
+				// a pruned point is — if anything — accepted slightly more
+				// often than its true value would be, preserving the
+				// hill-escaping of the annealing.  A pruned value is never a
+				// new best (see the tabu handler for the fleet rationale).
 				accepted := s.pointAccepted(value, centerValue, temperature)
 				improved := value < bestValue && !prunedEval
 				s.record(chi, value, accepted, improved, prunedEval)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
 	"github.com/paper-repro/pdsat-go/internal/decomp"
+	"github.com/paper-repro/pdsat-go/internal/eval"
 )
 
 // safeObjective wraps countingObjective for concurrent evaluation (the
@@ -21,17 +22,19 @@ type safeObjective struct {
 	delay time.Duration
 }
 
-func (o *safeObjective) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
+func (o *safeObjective) ReserveSlots(int) int { return 0 }
+
+func (o *safeObjective) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
 	if o.delay > 0 {
 		select {
 		case <-time.After(o.delay):
 		case <-ctx.Done():
-			return 0, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.inner.Evaluate(ctx, p)
+	return o.inner.EvaluateF(ctx, p, incumbent, slot)
 }
 
 func (o *safeObjective) VarActivity(v cnf.Var) float64 {
@@ -196,9 +199,9 @@ func TestSAScheduledWidthOneBitIdentical(t *testing.T) {
 
 // TestTabuScheduledWideTraceMatchesSequential: without pruning, a wide
 // tabu neighbourhood pass evaluates exactly the pre-drawn visit order the
-// sequential loop would walk, delivers results in that order, and the
-// pass always runs to exhaustion — so even at width 4 the full trace is
-// identical to the sequential search, not just the selected centres.
+// one-at-a-time search (width 0) walks, delivers results in that order,
+// and the pass always runs to exhaustion — so even at width 4 the full
+// trace is identical to width 0, not just the selected centres.
 func TestTabuScheduledWideTraceMatchesSequential(t *testing.T) {
 	s := makeSpace(6)
 	target := []cnf.Var{3, 4}
@@ -353,7 +356,7 @@ func TestFleetScheduledSharedIncumbent(t *testing.T) {
 		for i := range members {
 			members[i] = FleetMember{
 				Method:    MethodTabu,
-				Objective: &safeObjective{inner: newCountingObjective(target), delay: delay},
+				Evaluator: &safeObjective{inner: newCountingObjective(target), delay: delay},
 				Start:     s.FullPoint(),
 				Opts: Options{
 					Seed:               SubSeed(43, i),

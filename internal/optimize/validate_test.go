@@ -48,7 +48,7 @@ func TestOptionsValidate(t *testing.T) {
 // options eagerly instead of silently coercing them.
 func TestSearchEntryPointsValidate(t *testing.T) {
 	space := makeSpace(3)
-	obj := ObjectiveFunc(func(ctx context.Context, p decomp.Point) (float64, error) {
+	obj := evalFunc(func(ctx context.Context, p decomp.Point) (float64, error) {
 		return float64(p.Count()), nil
 	})
 	bad := Options{MaxEvaluations: -1}
@@ -65,7 +65,7 @@ func TestSearchEntryPointsValidate(t *testing.T) {
 // search.
 func TestObserverSeesTrace(t *testing.T) {
 	space := makeSpace(4)
-	obj := ObjectiveFunc(func(ctx context.Context, p decomp.Point) (float64, error) {
+	obj := evalFunc(func(ctx context.Context, p decomp.Point) (float64, error) {
 		return float64(p.Count()), nil
 	})
 	var seen []Visit
@@ -133,8 +133,7 @@ func TestTabuListsAccounting(t *testing.T) {
 
 	// getNewCenter without activity information picks the L2 point with the
 	// best (smallest) F — {1} — and mutates nothing.
-	obj := ObjectiveFunc(func(ctx context.Context, p decomp.Point) (float64, error) { return 0, nil })
-	next, ok := tl.getNewCenter(obj)
+	next, ok := tl.getNewCenter(nil)
 	if !ok || next.Key() != p1.Key() {
 		t.Fatalf("getNewCenter = %v, %v; want {1}", next, ok)
 	}
@@ -149,7 +148,7 @@ func TestTabuListsAccounting(t *testing.T) {
 	if tl.L1Size() != 4 || tl.L2Size() != 0 {
 		t.Fatalf("after {}: L1=%d L2=%d, want 4/0", tl.L1Size(), tl.L2Size())
 	}
-	if _, ok := tl.getNewCenter(obj); ok {
+	if _, ok := tl.getNewCenter(nil); ok {
 		t.Fatal("getNewCenter found a centre in an empty L2")
 	}
 }

@@ -33,9 +33,9 @@ func TestNewRunnerSurfacesInvalidConfig(t *testing.T) {
 	f.AddClauseLits(cnf.NewLit(1, true), cnf.NewLit(2, true))
 	r := NewRunner(f, Config{Workers: -1})
 	p := decomp.NewSpace([]cnf.Var{1, 2}).FullPoint()
-	if _, err := r.EvaluatePoint(context.Background(), p); err == nil ||
+	if _, err := estimate(context.Background(), r.DefaultScope(), p); err == nil ||
 		!strings.Contains(err.Error(), "worker count") {
-		t.Fatalf("EvaluatePoint must surface the config error, got %v", err)
+		t.Fatalf("Evaluate must surface the config error, got %v", err)
 	}
 	if _, err := r.Solve(context.Background(), p, SolveOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "worker count") {

@@ -23,7 +23,7 @@ func TestAdaptiveDispatchBitIdenticalEstimate(t *testing.T) {
 	p := space.FullPoint()
 
 	ref := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	want, err := ref.EvaluatePoint(context.Background(), p)
+	want, err := estimate(context.Background(), ref.DefaultScope(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestAdaptiveDispatchBitIdenticalEstimate(t *testing.T) {
 	r := NewRunner(inst.CNF, cfg)
 	runCtx, runCancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer runCancel()
-	got, err := r.EvaluatePoint(runCtx, p)
+	got, err := estimate(runCtx, r.DefaultScope(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

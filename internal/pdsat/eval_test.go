@@ -24,18 +24,40 @@ func evalTestConfig(pol eval.Policy) Config {
 	}
 }
 
-// legacyActivityObjective wraps a runner as a plain optimize.Objective
-// *without* implementing eval.Evaluator, pinning the pre-engine evaluation
-// path (one full batch per evaluation) so the tests below can compare the
-// refactored pipeline against it.  It forwards conflict activity so the
-// tabu search's getNewCenter heuristic behaves identically on both paths.
-type legacyActivityObjective struct{ r *Runner }
-
-func (o legacyActivityObjective) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	return o.r.Evaluate(ctx, p)
+// estimate evaluates F at p in the scope under the runner's configured
+// policy, with no incumbent and the next free slot.
+func estimate(ctx context.Context, sc *Scope, p decomp.Point) (*PointEstimate, error) {
+	return sc.Evaluate(ctx, Request{Point: p, Policy: sc.Runner().Config().Policy, Incumbent: math.Inf(1), Slot: -1})
 }
 
-func (o legacyActivityObjective) VarActivity(v cnf.Var) float64 { return o.r.VarActivity(v) }
+// scopeBackend adapts a scope as an eval.Backend.
+type scopeBackend struct{ sc *Scope }
+
+func (b scopeBackend) ReserveSlots(n int) int { return b.sc.ReserveSlots(n) }
+
+func (b scopeBackend) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int) (*eval.Evaluation, error) {
+	pe, err := b.sc.Evaluate(ctx, Request{Point: p, Policy: pol, Incumbent: incumbent, Slot: slot})
+	if pe == nil {
+		return nil, err
+	}
+	ev := pe.Evaluation()
+	return &ev, err
+}
+
+// runnerObjective is a search's evaluator over a runner's default scope: an
+// engine under the runner's configured policy without an F-cache (only
+// sessions memoize), with the runner-global conflict activity as the tabu
+// getNewCenter source.
+type runnerObjective struct {
+	*eval.Engine
+	r *Runner
+}
+
+func newRunnerObjective(r *Runner) runnerObjective {
+	return runnerObjective{eval.NewEngine(scopeBackend{r.DefaultScope()}, r.Config().Policy, nil), r}
+}
+
+func (o runnerObjective) VarActivity(v cnf.Var) float64 { return o.r.VarActivity(v) }
 
 // TestEvalPolicyDisabledBitIdenticalEstimate checks the tentpole's central
 // regression guarantee at the single-evaluation level: with pruning and
@@ -48,13 +70,13 @@ func TestEvalPolicyDisabledBitIdenticalEstimate(t *testing.T) {
 	p := space.FullPoint()
 
 	classic := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	want, err := classic.EvaluatePoint(context.Background(), p)
+	want, err := estimate(context.Background(), classic.DefaultScope(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	budgeted := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	got, err := budgeted.EvaluatePointBudgeted(context.Background(), p, eval.Policy{}, math.Inf(1), nil)
+	got, err := budgeted.DefaultScope().Evaluate(context.Background(), Request{Point: p, Policy: eval.Policy{}, Incumbent: math.Inf(1), Slot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,58 +115,30 @@ func TestEvalPolicyDisabledBitIdenticalEstimate(t *testing.T) {
 }
 
 // TestEvalPolicyDisabledBitIdenticalSearch is the CI regression gate for
-// the pruning-off path: a fixed-seed tabu search driven through the new
-// eval.Evaluator plumbing with the zero policy must reproduce the legacy
-// bare-Objective search exactly — same best point, same best F, same trace
-// values, same conflict activities and solved-subproblem counts.
+// the pruning-off path: a fixed-seed tabu search driven through the
+// evaluation engine with the zero policy must reproduce the search_zero
+// golden exactly — same best point, same best F, same trace values, same
+// conflict activities and solved-subproblem counts — and prune nothing.
 func TestEvalPolicyDisabledBitIdenticalSearch(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
-	opts := optimize.Options{Seed: 5, MaxEvaluations: 25}
-
-	legacy := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	want, err := optimize.TabuSearch(context.Background(), legacyActivityObjective{legacy}, space.FullPoint(), opts)
+	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
+	res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(),
+		optimize.Options{Seed: 5, MaxEvaluations: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The bare Runner implements eval.Evaluator, so this search runs
-	// through the budget-aware engine (with everything disabled).
-	engine := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-	got, err := optimize.TabuSearch(context.Background(), engine, space.FullPoint(), opts)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := zeroSearchGolden(r, res), loadEstimatorGoldens(t).SearchZero; got != want {
+		t.Fatalf("zero-policy search diverges from the search_zero golden:\n got %+v\nwant %+v", got, want)
 	}
-
-	if got.BestValue != want.BestValue {
-		t.Fatalf("best F differs: %v vs %v", got.BestValue, want.BestValue)
-	}
-	if !got.BestPoint.Equal(want.BestPoint) {
-		t.Fatalf("best point differs: %v vs %v", got.BestPoint, want.BestPoint)
-	}
-	if got.Evaluations != want.Evaluations {
-		t.Fatalf("evaluation counts differ: %d vs %d", got.Evaluations, want.Evaluations)
-	}
-	if len(got.Trace) != len(want.Trace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(got.Trace), len(want.Trace))
-	}
-	for i := range got.Trace {
-		g, w := got.Trace[i], want.Trace[i]
-		if g.Value != w.Value || !g.Point.Equal(w.Point) || g.Improved != w.Improved || g.Pruned {
-			t.Fatalf("trace visit %d differs: %+v vs %+v", i, g, w)
+	for i, v := range res.Trace {
+		if v.Pruned {
+			t.Fatalf("trace visit %d pruned under the zero policy: %+v", i, v)
 		}
 	}
-	for _, v := range inst.UnknownStartVars() {
-		if a, b := legacy.VarActivity(v), engine.VarActivity(v); a != b {
-			t.Fatalf("conflict activity of %d differs: %v vs %v", v, a, b)
-		}
-	}
-	if legacy.SubproblemsSolved() != engine.SubproblemsSolved() {
-		t.Fatalf("solved counts differ: %d vs %d", legacy.SubproblemsSolved(), engine.SubproblemsSolved())
-	}
-	if engine.PrunedEvaluations() != 0 || engine.SubproblemsAborted() != 0 {
+	if r.PrunedEvaluations() != 0 || r.SubproblemsAborted() != 0 {
 		t.Fatalf("zero policy pruned %d evaluations / aborted %d subproblems",
-			engine.PrunedEvaluations(), engine.SubproblemsAborted())
+			r.PrunedEvaluations(), r.SubproblemsAborted())
 	}
 }
 
@@ -157,15 +151,14 @@ func TestEvaluatePointBudgetedPrunes(t *testing.T) {
 	space := unknownSpace(inst)
 	p := space.FullPoint()
 
-	full, err := NewRunner(inst.CNF, evalTestConfig(eval.Policy{})).
-		EvaluatePoint(context.Background(), p)
+	full, err := estimate(context.Background(), NewRunner(inst.CNF, evalTestConfig(eval.Policy{})).DefaultScope(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{Prune: true}))
 	incumbent := full.Estimate.Value / 100
-	pe, err := r.EvaluatePointBudgeted(context.Background(), p, r.Config().Policy, incumbent, nil)
+	pe, err := r.DefaultScope().Evaluate(context.Background(), Request{Point: p, Policy: r.Config().Policy, Incumbent: incumbent, Slot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +202,7 @@ func TestEvaluatePointBudgetedStagesEarlyStop(t *testing.T) {
 
 	pol := eval.Policy{Stages: 3, Epsilon: 10} // ε so large any 2-sample stage passes
 	r := NewRunner(inst.CNF, evalTestConfig(pol))
-	pe, err := r.EvaluatePointBudgeted(context.Background(), p, pol, math.Inf(1), nil)
+	pe, err := r.DefaultScope().Evaluate(context.Background(), Request{Point: p, Policy: pol, Incumbent: math.Inf(1), Slot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +222,7 @@ func TestEvaluatePointBudgetedStagesEarlyStop(t *testing.T) {
 
 	// The prefix must be exactly the first samples of the full-sample
 	// evaluation (the sample depends only on seed and counter).
-	full, err := NewRunner(inst.CNF, evalTestConfig(eval.Policy{})).
-		EvaluatePoint(context.Background(), p)
+	full, err := estimate(context.Background(), NewRunner(inst.CNF, evalTestConfig(eval.Policy{})).DefaultScope(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +252,7 @@ func TestPruningAndStagingSaveSubproblems(t *testing.T) {
 			CostMetric: solver.CostPropagations,
 			Policy:     pol,
 		})
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(), opts)
+		res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

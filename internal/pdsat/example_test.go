@@ -3,6 +3,7 @@ package pdsat_test
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/paper-repro/pdsat-go/internal/decomp"
 	"github.com/paper-repro/pdsat-go/internal/encoder"
@@ -10,13 +11,13 @@ import (
 	"github.com/paper-repro/pdsat-go/internal/solver"
 )
 
-// ExampleRunner_EvaluatePoint evaluates the predictive function F (eq. 5 of
-// the paper) for a decomposition set of a weakened A5/1 cryptanalysis
-// instance.  With a deterministic cost metric the estimate is reproducible:
-// the sample depends only on the seed and every subproblem is solved exactly
-// as a fresh solver would solve it, even though each worker reuses one
-// persistent solver.
-func ExampleRunner_EvaluatePoint() {
+// ExampleScope_Evaluate evaluates the predictive function F (eq. 5 of the
+// paper) for a decomposition set of a weakened A5/1 cryptanalysis instance
+// in the runner's default scope.  With a deterministic cost metric the
+// estimate is reproducible: the sample depends only on the seed and the
+// evaluation slot, and every subproblem is solved exactly as a fresh solver
+// would solve it, even though each worker reuses one persistent solver.
+func ExampleScope_Evaluate() {
 	inst, err := encoder.NewInstance(encoder.A51(), encoder.Config{
 		KeystreamLen: 40, // bits of observed keystream
 		KnownSuffix:  44, // weakening: fix a suffix of the state to its true value
@@ -39,7 +40,12 @@ func ExampleRunner_EvaluatePoint() {
 		Seed:       7,
 		CostMetric: solver.CostConflicts,
 	})
-	est, err := runner.EvaluatePoint(context.Background(), point)
+	est, err := runner.DefaultScope().Evaluate(context.Background(), pdsat.Request{
+		Point:     point,
+		Policy:    runner.Config().Policy,
+		Incumbent: math.Inf(1), // no incumbent: never prune
+		Slot:      -1,          // draw the next evaluation slot
+	})
 	if err != nil {
 		panic(err)
 	}

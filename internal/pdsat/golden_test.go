@@ -140,7 +140,7 @@ func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 	// deterministic and recorded.
 	{
 		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		pe, err := r.EvaluatePoint(context.Background(), p)
+		pe, err := estimate(context.Background(), r.DefaultScope(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 	{
 		pol := eval.DefaultPolicy()
 		r := NewRunner(inst.CNF, evalTestConfig(pol))
-		pe, err := r.EvaluatePointBudgeted(context.Background(), p, pol, math.Inf(1), nil)
+		pe, err := r.DefaultScope().Evaluate(context.Background(), Request{Point: p, Policy: pol, Incumbent: math.Inf(1), Slot: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 	// Zero-policy tabu search: the full trace is deterministic.
 	{
 		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(), opts)
+		res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 	// (the same contract TestPruningAndStagingSaveSubproblems relies on).
 	{
 		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(), opts)
+		res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func computeEstimatorGoldens(t *testing.T) estimatorGoldens {
 	{
 		saInst := weakBivium(t, 160, 200, 7)
 		r := NewRunner(saInst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.SimulatedAnnealing(context.Background(), r, unknownSpace(saInst).FullPoint(),
+		res, err := optimize.SimulatedAnnealing(context.Background(), newRunnerObjective(r), unknownSpace(saInst).FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 14, InitialTemperature: 0.5})
 		if err != nil {
 			t.Fatal(err)

@@ -35,7 +35,7 @@ func TestEvaluatePointUnaffectedBySolverReuse(t *testing.T) {
 	for i := range want {
 		r := NewRunner(inst.CNF, cfg)
 		for j := 0; j <= i; j++ {
-			est, err := r.EvaluatePoint(context.Background(), p)
+			est, err := estimate(context.Background(), r.DefaultScope(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestEvaluatePointUnaffectedBySolverReuse(t *testing.T) {
 	// same three evaluations, interleaved with a full family solve.
 	r := NewRunner(inst.CNF, cfg)
 	for i := range want {
-		est, err := r.EvaluatePoint(context.Background(), p)
+		est, err := estimate(context.Background(), r.DefaultScope(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestAggregateStats(t *testing.T) {
 	inst := weakBivium(t, 168, 50, 9)
 	space := unknownSpace(inst)
 	r := NewRunner(inst.CNF, Config{SampleSize: 8, Workers: 2, Seed: 7, CostMetric: solver.CostPropagations})
-	est, err := r.EvaluatePoint(context.Background(), space.FullPoint())
+	est, err := estimate(context.Background(), r.DefaultScope(), space.FullPoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSolverPoolIsBounded(t *testing.T) {
 	space := unknownSpace(inst)
 	r := NewRunner(inst.CNF, Config{SampleSize: 16, Workers: 3, Seed: 2})
 	for i := 0; i < 3; i++ {
-		if _, err := r.EvaluatePoint(context.Background(), space.FullPoint()); err != nil {
+		if _, err := estimate(context.Background(), r.DefaultScope(), space.FullPoint()); err != nil {
 			t.Fatal(err)
 		}
 	}

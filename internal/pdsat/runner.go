@@ -3,7 +3,7 @@
 //
 // The Runner has two modes, mirroring the paper:
 //
-//   - Estimation mode (EvaluatePoint): for a decomposition set X̃ the leader
+//   - Estimation mode (Scope.Evaluate): for a decomposition set X̃ the leader
 //     draws a random sample of N assignments of X̃, the workers solve the
 //     induced subproblems C[X̃/α], and the observed costs are combined into
 //     the predictive-function value F = 2^d · mean (montecarlo.Estimate).
@@ -41,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -81,7 +80,7 @@ type Config struct {
 	// same worker then typically solve faster, but the reported per-subproblem
 	// costs depend on which worker processed which subproblem and are no
 	// longer comparable with the predictive function, so estimation mode
-	// (EvaluatePoint) always uses pristine per-subproblem resets regardless
+	// (Scope.Evaluate) always uses pristine per-subproblem resets regardless
 	// of this flag.
 	RetainLearned bool
 	// Transport optionally overrides where subproblem batches run — e.g. a
@@ -161,10 +160,9 @@ type Runner struct {
 	// configuration surfaces on the first evaluation instead of panicking
 	// or hanging.
 	cfgErr error
-	// def is the runner's default evaluation scope (seeded with Config.Seed);
-	// the Evaluate* methods below delegate to it.  Fleet members instead
-	// evaluate through their own NewScope, sharing the transport but not the
-	// sampling state.
+	// def is the runner's default evaluation scope (seeded with Config.Seed).
+	// Fleet members instead evaluate through their own NewScope, sharing the
+	// transport but not the sampling state.
 	def *Scope
 	// costModel tracks the observed ζ distribution per sample stage when
 	// adaptive dispatch (Config.Steal/Speculate) is on, turning it into
@@ -434,7 +432,7 @@ func (pe *PointEstimate) Evaluation() eval.Evaluation {
 }
 
 // Progress describes one completed subproblem within a running evaluation
-// (EvaluatePointObserved) or family-processing call (SolveObserved).
+// (Request.Observe) or family-processing call (SolveObserved).
 type Progress struct {
 	// Done is the number of subproblem results collected so far in this
 	// call, including cancelled placeholders; Total is the call's batch
@@ -446,126 +444,10 @@ type Progress struct {
 	Result cluster.TaskResult
 }
 
-// EvaluatePoint computes the predictive function F at the decomposition set
-// given by the point, using the runner's sample size and worker transport.
-// The evaluation is deterministic for a fixed configuration when the cost
-// metric is deterministic: the sample depends only on (Seed, evaluation
-// counter), and every subproblem is solved from a solver's pristine state,
-// so its observed cost does not depend on which worker — local goroutine or
-// remote machine — happened to process it.
-//
-// If the context is cancelled mid-evaluation, EvaluatePoint returns the
-// partial estimate computed from the subproblems that did complete (marked
-// Interrupted) together with the context's error, so an interrupted run can
-// still print a report; the result is nil only if no subproblem finished.
-func (r *Runner) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstimate, error) {
-	return r.EvaluatePointObserved(ctx, p, nil)
-}
-
-// EvaluatePointObserved behaves exactly like EvaluatePoint but additionally
-// streams a Progress notification for every collected subproblem result to
-// observe (when non-nil).  Notifications arrive from a single goroutine, in
-// collection order; observe must not block for long.  The estimate itself
-// is bit-identical to EvaluatePoint's — observation never changes the
-// sample, the costs or the evaluation counter.
-//
-// Both run under the runner's configured evaluation policy with no
-// incumbent, so staged sampling applies but pruning never triggers.
-func (r *Runner) EvaluatePointObserved(ctx context.Context, p decomp.Point, observe func(Progress)) (*PointEstimate, error) {
-	return r.EvaluatePointBudgeted(ctx, p, r.cfg.Policy, math.Inf(1), observe)
-}
-
-// EvaluatePointBudgeted is the budget-aware evaluation at the heart of the
-// engine: it computes the predictive function F at the point under the
-// given policy and incumbent bound (the best F the caller has already
-// certified; +Inf if none).
-//
-// The sample itself — which N assignments of the decomposition set are
-// drawn — depends only on (Seed, evaluation counter), exactly as in
-// EvaluatePoint; the policy decides how much of it is solved:
-//
-//   - Staged sampling (Policy.Stages) dispatches the sample in
-//     geometrically growing prefixes and stops once the eq.-3 confidence
-//     half-width of the mean falls to Policy.Epsilon·mean (the result is
-//     then marked EarlyStopped; the prefix is value-independent, so the
-//     estimate stays unbiased).
-//
-//   - Incumbent pruning (Policy.Prune, finite incumbent) watches the
-//     running cost sum as results stream in and aborts the remainder of the
-//     batch — through the transport's batch abort, which cancels only this
-//     batch's in-flight tasks, never the transport — as soon as the lower
-//     bound 2^d·(Σζ)/N exceeds the incumbent.  Later stages also tighten
-//     each task's solver budget to the remaining allowance, the paper's
-//     per-subproblem time limit turned into a certified pruning proxy: a
-//     task truncated at the allowance already proves the candidate worse.
-//
-// With the zero policy the call degenerates to exactly one full batch and
-// is bit-identical to the historical EvaluatePoint.  Cancellation semantics
-// are unchanged: a cancelled evaluation returns the partial estimate
-// (marked Interrupted) together with the context's error.
-// The evaluation runs in the runner's default scope, whose seed is
-// Config.Seed and whose evaluation counter is the runner's; see Scope for
+// DefaultScope returns the runner's default evaluation scope, seeded with
+// Config.Seed; its evaluation counter is the runner's.  See NewScope for
 // isolated per-search contexts on the same transport.
-func (r *Runner) EvaluatePointBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress)) (*PointEstimate, error) {
-	return r.def.EvaluatePointBudgeted(ctx, p, pol, incumbent, observe)
-}
-
-// Evaluate implements the optimizer objective: it returns the predictive
-// function value F(χ) at the point.
-func (r *Runner) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	est, err := r.EvaluatePoint(ctx, p)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate.Value, nil
-}
-
-// EvaluateBudgeted implements eval.Backend: one budget-aware evaluation
-// under an explicit policy and incumbent, in the engine's result form.
-func (r *Runner) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64) (*eval.Evaluation, error) {
-	pe, err := r.EvaluatePointBudgeted(ctx, p, pol, incumbent, nil)
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
-}
-
-// EvaluateF implements eval.Evaluator under the runner's configured policy,
-// which lets the optimize searches thread their incumbent into evaluations
-// on a bare Runner.  The Runner never memoizes — the cross-search F-cache
-// is owned by the session layer (pdsat.Session).
-func (r *Runner) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	return r.EvaluateBudgeted(ctx, p, r.cfg.Policy, incumbent)
-}
-
-// ReserveEvalSlots implements eval.SlotBackend on the runner's default
-// scope: the neighborhood scheduler reserves one evaluation slot per
-// submitted candidate upfront, keeping sibling samples independent of
-// completion order.  See Scope.ReserveEvalSlots.
-func (r *Runner) ReserveEvalSlots(n int) int { return r.def.ReserveEvalSlots(n) }
-
-// EvaluateSlot implements eval.SlotBackend: EvaluateBudgeted against a
-// pre-reserved evaluation slot.
-func (r *Runner) EvaluateSlot(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return r.def.EvaluateSlot(ctx, p, pol, incumbent, slot)
-}
-
-// EvaluateSlotObserved is EvaluateSlot with a sample-progress observer (the
-// session layer's event streaming hooks in here).
-func (r *Runner) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int, observe func(Progress)) (*eval.Evaluation, error) {
-	return r.def.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, observe)
-}
-
-// ReserveSlots implements eval.SlotEvaluator (the evaluator-level view the
-// frontier consumes when a search runs on a bare Runner).
-func (r *Runner) ReserveSlots(n int) (int, bool) { return r.def.ReserveEvalSlots(n), true }
-
-// EvaluateSlotF implements eval.SlotEvaluator under the runner's
-// configured policy.
-func (r *Runner) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return r.def.EvaluateSlot(ctx, p, r.cfg.Policy, incumbent, slot)
-}
+func (r *Runner) DefaultScope() *Scope { return r.def }
 
 // absorbActivities adds the per-task conflict activities and statistics into
 // the runner's cumulative tables.  Results arrive in completion order, which
@@ -743,7 +625,7 @@ func (r *Runner) Solve(ctx context.Context, p decomp.Point, opts SolveOptions) (
 // SolveObserved behaves exactly like Solve but additionally streams a
 // Progress notification for every collected subproblem result to observe
 // (when non-nil), with the same single-goroutine, in-order contract as
-// EvaluatePointObserved.
+// Request.Observe.
 func (r *Runner) SolveObserved(ctx context.Context, p decomp.Point, opts SolveOptions, observe func(Progress)) (*SolveReport, error) {
 	if r.cfgErr != nil {
 		return nil, r.cfgErr

@@ -54,7 +54,7 @@ func TestEvaluatePointProducesEstimate(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
 	r := NewRunner(inst.CNF, Config{SampleSize: 16, Workers: 2, Seed: 3})
-	est, err := r.EvaluatePoint(context.Background(), space.FullPoint())
+	est, err := estimate(context.Background(), r.DefaultScope(), space.FullPoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,7 @@ func TestEvaluateEmptyPointFails(t *testing.T) {
 	inst := weakBivium(t, 170, 40, 5)
 	space := unknownSpace(inst)
 	r := NewRunner(inst.CNF, Config{SampleSize: 4, Workers: 1, Seed: 1})
-	if _, err := r.EvaluatePoint(context.Background(), space.EmptyPoint()); err == nil {
-		t.Fatal("expected error for empty decomposition set")
-	}
-	if _, err := r.Evaluate(context.Background(), space.EmptyPoint()); err == nil {
+	if _, err := estimate(context.Background(), r.DefaultScope(), space.EmptyPoint()); err == nil {
 		t.Fatal("expected error for empty decomposition set")
 	}
 	if _, err := r.Solve(context.Background(), space.EmptyPoint(), SolveOptions{}); err == nil {
@@ -98,11 +95,11 @@ func TestEvaluateDeterministicWithConflictCost(t *testing.T) {
 	space := unknownSpace(inst)
 	run := func() float64 {
 		r := NewRunner(inst.CNF, Config{SampleSize: 12, Workers: 2, Seed: 7, CostMetric: solver.CostConflicts})
-		v, err := r.Evaluate(context.Background(), space.FullPoint())
+		est, err := estimate(context.Background(), r.DefaultScope(), space.FullPoint())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return est.Estimate.Value
 	}
 	if v1, v2 := run(), run(); v1 != v2 {
 		t.Fatalf("evaluation is not deterministic: %v vs %v", v1, v2)
@@ -122,19 +119,19 @@ func TestEvaluateIndependentOfVisitOrder(t *testing.T) {
 	q := p.Flip(0)
 
 	r1 := NewRunner(inst.CNF, Config{SampleSize: 10, Workers: 2, Seed: 5})
-	v1p, err := r1.Evaluate(context.Background(), p)
+	v1p, err := estimate(context.Background(), r1.DefaultScope(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2 := NewRunner(inst.CNF, Config{SampleSize: 10, Workers: 2, Seed: 5})
-	v2p, err := r2.Evaluate(context.Background(), p)
+	v2p, err := estimate(context.Background(), r2.DefaultScope(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1p != v2p {
-		t.Fatalf("first-evaluation values differ: %v vs %v", v1p, v2p)
+	if v1p.Estimate.Value != v2p.Estimate.Value {
+		t.Fatalf("first-evaluation values differ: %v vs %v", v1p.Estimate.Value, v2p.Estimate.Value)
 	}
-	if _, err := r2.Evaluate(context.Background(), q); err != nil {
+	if _, err := estimate(context.Background(), r2.DefaultScope(), q); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -155,7 +152,7 @@ func TestVarActivityAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(inst.CNF, Config{SampleSize: 10, Workers: 2, Seed: 3})
-	if _, err := r.EvaluatePoint(context.Background(), p); err != nil {
+	if _, err := estimate(context.Background(), r.DefaultScope(), p); err != nil {
 		t.Fatal(err)
 	}
 	total := 0.0
@@ -295,7 +292,7 @@ func TestPredictionMatchesFullProcessingOnSmallFamily(t *testing.T) {
 	space := unknownSpace(inst) // 9 unknowns -> family of 512
 	p := space.FullPoint()
 	r := NewRunner(inst.CNF, Config{SampleSize: 256, Workers: 2, Seed: 13, CostMetric: solver.CostPropagations})
-	est, err := r.EvaluatePoint(context.Background(), p)
+	est, err := estimate(context.Background(), r.DefaultScope(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestSchedulerWidthOneBitIdenticalTabuZeroPolicy(t *testing.T) {
 	want := loadEstimatorGoldens(t).SearchZero
 	for _, width := range []int{0, 1} {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: width})
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestSchedulerWidthOneBitIdenticalTabuDefaultPolicy(t *testing.T) {
 	pruned := make([]int, 2)
 	for width := range results {
 		r := NewRunner(inst.CNF, evalTestConfig(pol))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 25, MaxConcurrentEvals: width})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSchedulerWidthOneBitIdenticalSA(t *testing.T) {
 	want := loadEstimatorGoldens(t).SearchSAZero
 	for _, width := range []int{0, 1} {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.SimulatedAnnealing(context.Background(), r, space.FullPoint(),
+		res, err := optimize.SimulatedAnnealing(context.Background(), newRunnerObjective(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 14, InitialTemperature: 0.5, MaxConcurrentEvals: width})
 		if err != nil {
 			t.Fatal(err)
@@ -122,16 +122,16 @@ func TestSchedulerWidthOneBitIdenticalSA(t *testing.T) {
 
 // TestSchedulerWideZeroPolicyMatchesSequential: with pruning off and the
 // evaluation budget inside the first neighbourhood, a width-4 tabu search
-// must reproduce the sequential trace exactly — the pre-drawn visit order
-// is the sequential pick order, and the slot reservation pins every
-// candidate's Monte Carlo sample to the value the sequential path would
-// have drawn, whatever order the four in-flight evaluations complete in.
+// must reproduce the width-0 trace exactly — the pre-drawn visit order is
+// the one-at-a-time pick order, and the slot reservation pins every
+// candidate's Monte Carlo sample to the value width 0 draws, whatever
+// order the four in-flight evaluations complete in.
 func TestSchedulerWideZeroPolicyMatchesSequential(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	space := unknownSpace(inst)
 	run := func(width int) *optimize.Result {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{}))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: width})
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestSchedulerWideDeterministicRunToRun(t *testing.T) {
 	space := unknownSpace(inst)
 	run := func() *optimize.Result {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +196,7 @@ func TestSchedulerWideEqualBestF(t *testing.T) {
 	space := unknownSpace(inst)
 	run := func(width int) *optimize.Result {
 		r := NewRunner(inst.CNF, evalTestConfig(eval.DefaultPolicy()))
-		res, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+		res, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(),
 			optimize.Options{Seed: 5, MaxEvaluations: 20, MaxConcurrentEvals: width})
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestSampleLedgerBalances(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRunner(inst.CNF, evalTestConfig(tc.pol))
 			space := unknownSpace(inst)
-			_, err := optimize.TabuSearch(context.Background(), r, space.FullPoint(),
+			_, err := optimize.TabuSearch(context.Background(), newRunnerObjective(r), space.FullPoint(),
 				optimize.Options{Seed: 5, MaxEvaluations: 15, MaxConcurrentEvals: tc.width})
 			if err != nil {
 				t.Fatal(err)
@@ -254,8 +254,8 @@ func TestSampleLedgerBalances(t *testing.T) {
 }
 
 // TestSchedulerScopeLedgerBalances checks the same invariant on an
-// isolated scope (the fleet members' evaluation context) driven through
-// the slot API directly.
+// isolated scope (the fleet members' evaluation context) driven with
+// pre-reserved slots directly.
 func TestSchedulerScopeLedgerBalances(t *testing.T) {
 	inst := weakBivium(t, 167, 60, 21)
 	r := NewRunner(inst.CNF, evalTestConfig(eval.Policy{Prune: true}))
@@ -263,13 +263,13 @@ func TestSchedulerScopeLedgerBalances(t *testing.T) {
 	space := unknownSpace(inst)
 	p := space.FullPoint()
 
-	base := sc.ReserveEvalSlots(3)
-	if _, err := sc.EvaluateSlot(context.Background(), p, eval.Policy{}, math.Inf(1), base); err != nil {
+	base := sc.ReserveSlots(3)
+	if _, err := sc.Evaluate(context.Background(), Request{Point: p, Incumbent: math.Inf(1), Slot: base}); err != nil {
 		t.Fatal(err)
 	}
 	// A tight incumbent forces pruning: part of the sample is aborted or
 	// skipped, and the ledger must still balance.
-	if ev, err := sc.EvaluateSlot(context.Background(), p.Flip(0), eval.Policy{Prune: true}, 1, base+1); err != nil {
+	if ev, err := sc.Evaluate(context.Background(), Request{Point: p.Flip(0), Policy: eval.Policy{Prune: true}, Incumbent: 1, Slot: base + 1}); err != nil {
 		t.Fatal(err)
 	} else if !ev.Pruned {
 		t.Fatalf("evaluation against incumbent 1 not pruned: %+v", ev)
@@ -303,7 +303,7 @@ func TestSchedulerCancellationMidNeighborhood(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	res, err := optimize.TabuSearch(ctx, r, space.FullPoint(),
+	res, err := optimize.TabuSearch(ctx, newRunnerObjective(r), space.FullPoint(),
 		optimize.Options{Seed: 5, MaxConcurrentEvals: 4})
 	cancel()
 	if err != nil {

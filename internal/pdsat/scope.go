@@ -159,17 +159,13 @@ func (sc *Scope) VarActivity(v cnf.Var) float64 {
 	return sc.confAct[v]
 }
 
-// nextEvalIndex reserves the scope's next evaluation slot and mirrors the
-// count into the runner's global roll-up.
-func (sc *Scope) nextEvalIndex() int { return sc.ReserveEvalSlots(1) }
-
-// ReserveEvalSlots implements eval.SlotBackend: it reserves n consecutive
-// evaluation slots (mirrored into the runner roll-up) and returns the
-// first.  The neighborhood scheduler reserves a whole submission upfront
-// so every sibling's sample — a pure function of (scope seed, slot) —
-// is independent of completion order and cancellation timing; slots of
-// candidates that end up cancelled stay burned, deliberately.
-func (sc *Scope) ReserveEvalSlots(n int) int {
+// ReserveSlots reserves n consecutive evaluation slots (mirrored into the
+// runner roll-up) and returns the first.  The neighborhood scheduler
+// reserves a whole submission upfront so every sibling's sample — a pure
+// function of (scope seed, slot) — is independent of completion order and
+// cancellation timing; slots of candidates that end up cancelled stay
+// burned, deliberately.
+func (sc *Scope) ReserveSlots(n int) int {
 	sc.mu.Lock()
 	idx := sc.evaluations
 	sc.evaluations += n
@@ -239,79 +235,64 @@ func (sc *Scope) absorb(results []cluster.TaskResult) {
 	sc.r.absorbActivities(results)
 }
 
-// EvaluatePoint computes the predictive function F at the point under the
-// runner's configured policy with no incumbent; see Runner.EvaluatePoint.
-func (sc *Scope) EvaluatePoint(ctx context.Context, p decomp.Point) (*PointEstimate, error) {
-	return sc.EvaluatePointBudgeted(ctx, p, sc.r.cfg.Policy, math.Inf(1), nil)
+// Request describes one predictive-function evaluation.  Every field is
+// used as given: callers without an incumbent pass +Inf, callers without a
+// reserved slot pass a negative one, and the runner's configured policy
+// applies only when the caller passes Config().Policy.
+type Request struct {
+	// Point is the decomposition set to evaluate.
+	Point decomp.Point
+	// Policy decides how much of the sample is solved (see Evaluate).
+	Policy eval.Policy
+	// Incumbent is the best F the caller has already certified; pruning
+	// aborts the evaluation once its lower bound exceeds it.
+	Incumbent float64
+	// Slot is the evaluation slot the sample is drawn from (see
+	// ReserveSlots); a negative slot reserves the next one.
+	Slot int
+	// Observe, when non-nil, receives a Progress notification for every
+	// collected subproblem result, from a single goroutine, in collection
+	// order; it must not block for long.  Observation never changes the
+	// sample, the costs or the slot.
+	Observe func(Progress)
 }
 
-// Evaluate implements the optimizer objective on the scope.
-func (sc *Scope) Evaluate(ctx context.Context, p decomp.Point) (float64, error) {
-	est, err := sc.EvaluatePoint(ctx, p)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate.Value, nil
-}
-
-// EvaluateBudgeted implements eval.Backend on the scope.
-func (sc *Scope) EvaluateBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64) (*eval.Evaluation, error) {
-	pe, err := sc.EvaluatePointBudgeted(ctx, p, pol, incumbent, nil)
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
-}
-
-// EvaluateF implements eval.Evaluator under the runner's configured policy.
-func (sc *Scope) EvaluateF(ctx context.Context, p decomp.Point, incumbent float64) (*eval.Evaluation, error) {
-	return sc.EvaluateBudgeted(ctx, p, sc.r.cfg.Policy, incumbent)
-}
-
-// ReserveSlots implements eval.SlotEvaluator (the evaluator-level view the
-// frontier consumes when a search runs directly on a Scope).
-func (sc *Scope) ReserveSlots(n int) (int, bool) { return sc.ReserveEvalSlots(n), true }
-
-// EvaluateSlotF implements eval.SlotEvaluator under the runner's
-// configured policy.
-func (sc *Scope) EvaluateSlotF(ctx context.Context, p decomp.Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return sc.EvaluateSlot(ctx, p, sc.r.cfg.Policy, incumbent, slot)
-}
-
-// EvaluatePointBudgeted is the budget-aware evaluation at the heart of the
-// engine, running in this scope: the sample depends only on (scope seed,
-// scope evaluation counter), the policy decides how much of it is solved,
-// and the incumbent bound drives pruning.  See the method of the same name
-// on Runner (which delegates to its default scope) for the full contract.
-func (sc *Scope) EvaluatePointBudgeted(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress)) (*PointEstimate, error) {
-	return sc.evaluatePointAt(ctx, p, pol, incumbent, observe, -1)
-}
-
-// EvaluateSlot implements eval.SlotBackend: EvaluateBudgeted with the
-// sample drawn from a pre-reserved evaluation slot (see ReserveEvalSlots)
-// instead of a freshly reserved one.
-func (sc *Scope) EvaluateSlot(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return sc.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, nil)
-}
-
-// EvaluateSlotObserved is EvaluateSlot with a sample-progress observer (the
-// session layer's event streaming hooks in here).
-func (sc *Scope) EvaluateSlotObserved(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, slot int, observe func(Progress)) (*eval.Evaluation, error) {
-	pe, err := sc.evaluatePointAt(ctx, p, pol, incumbent, observe, slot)
-	if pe == nil {
-		return nil, err
-	}
-	ev := pe.Evaluation()
-	return &ev, err
-}
-
-// evaluatePointAt runs one budget-aware evaluation against a fixed
-// evaluation slot; a negative slot reserves the next one.  The live
-// incumbent bound of a neighborhood frontier, when attached to ctx, is
-// re-read at every pruning checkpoint, so sibling candidates completing
-// concurrently tighten this evaluation's abort threshold mid-sample.
-func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.Policy, incumbent float64, observe func(Progress), slot int) (*PointEstimate, error) {
+// Evaluate computes the predictive function F at the request's point in
+// this scope, using the runner's sample size and worker transport.
+//
+// The sample — which N assignments of the decomposition set are drawn —
+// depends only on (scope seed, slot), and every subproblem is solved from
+// a solver's pristine state, so its observed cost does not depend on which
+// worker (local goroutine or remote machine) happened to process it: with
+// a deterministic cost metric the evaluation is deterministic.  The policy
+// decides how much of the sample is solved:
+//
+//   - Staged sampling (Policy.Stages) dispatches the sample in
+//     geometrically growing prefixes and stops once the eq.-3 confidence
+//     half-width of the mean falls to Policy.Epsilon·mean (the result is
+//     then marked EarlyStopped; the prefix is value-independent, so the
+//     estimate stays unbiased).
+//
+//   - Incumbent pruning (Policy.Prune, finite incumbent) watches the
+//     running cost sum as results stream in and aborts the remainder of the
+//     batch — through the transport's batch abort, which cancels only this
+//     batch's in-flight tasks, never the transport — as soon as the lower
+//     bound 2^d·(Σζ)/N exceeds the incumbent.  Later stages also tighten
+//     each task's solver budget to the remaining allowance, the paper's
+//     per-subproblem time limit turned into a certified pruning proxy: a
+//     task truncated at the allowance already proves the candidate worse.
+//     The live incumbent bound of a neighborhood frontier, when attached to
+//     ctx, is re-read at every pruning checkpoint, so sibling candidates
+//     completing concurrently tighten this evaluation's abort threshold
+//     mid-sample.
+//
+// With the zero policy the evaluation is exactly one full batch.  If the
+// context is cancelled mid-evaluation, Evaluate returns the partial
+// estimate computed from the subproblems that did complete (marked
+// Interrupted) together with the context's error, so an interrupted run can
+// still print a report; the result is nil only if no subproblem finished.
+func (sc *Scope) Evaluate(ctx context.Context, req Request) (*PointEstimate, error) {
+	p, pol, incumbent, observe := req.Point, req.Policy, req.Incumbent, req.Observe
 	r := sc.r
 	if r.cfgErr != nil {
 		return nil, r.cfgErr
@@ -323,9 +304,9 @@ func (sc *Scope) evaluatePointAt(ctx context.Context, p decomp.Point, pol eval.P
 		return nil, errors.New("pdsat: empty decomposition set")
 	}
 	start := time.Now()
-	evalIndex := slot
+	evalIndex := req.Slot
 	if evalIndex < 0 {
-		evalIndex = sc.nextEvalIndex()
+		evalIndex = sc.ReserveSlots(1)
 	}
 
 	fam := decomp.FamilyOf(r.formula, p)

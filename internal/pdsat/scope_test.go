@@ -57,7 +57,7 @@ func TestScopeBitIdenticalToFreshRunner(t *testing.T) {
 
 	// Advance the default scope so a shared counter would diverge.
 	for i := 0; i < 3; i++ {
-		if _, err := r.EvaluatePoint(context.Background(), p); err != nil {
+		if _, err := estimate(context.Background(), r.DefaultScope(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,11 +68,11 @@ func TestScopeBitIdenticalToFreshRunner(t *testing.T) {
 
 	q := p.Flip(0)
 	for i, point := range []decomp.Point{p, q, p.Flip(1)} {
-		got, err := sc.EvaluatePoint(context.Background(), point)
+		got, err := estimate(context.Background(), sc, point)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.EvaluatePoint(context.Background(), point)
+		want, err := estimate(context.Background(), fresh.DefaultScope(), point)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestConcurrentScopesDeterministic(t *testing.T) {
 	for i := 0; i < scopes; i++ {
 		solo := NewRunner(inst.CNF, Config{SampleSize: 10, Workers: 4, Seed: int64(100 + i), CostMetric: solver.CostPropagations})
 		for _, p := range points {
-			pe, err := solo.EvaluatePoint(context.Background(), p)
+			pe, err := estimate(context.Background(), solo.DefaultScope(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestConcurrentScopesDeterministic(t *testing.T) {
 		go func(i int, sc *Scope) {
 			defer wg.Done()
 			for _, p := range points {
-				pe, err := sc.EvaluatePoint(context.Background(), p)
+				pe, err := estimate(context.Background(), sc, p)
 				if err != nil {
 					errs[i] = err
 					return
@@ -175,7 +175,7 @@ func TestScopePruningCounters(t *testing.T) {
 	sc := r.NewScope(17)
 
 	// An absurdly low incumbent forces the prune on the first stage.
-	pe, err := sc.EvaluatePointBudgeted(context.Background(), p, eval.Policy{Prune: true, Stages: 2}, 1e-9, nil)
+	pe, err := sc.Evaluate(context.Background(), Request{Point: p, Policy: eval.Policy{Prune: true, Stages: 2}, Incumbent: 1e-9, Slot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

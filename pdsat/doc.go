@@ -74,13 +74,14 @@
 //
 // # Neighborhood-parallel evaluation
 //
-// EvalPolicy.MaxConcurrentEvals switches a search's inner loop to the
-// neighbourhood scheduler: a whole tabu neighbourhood (or a speculative
-// wave of annealing candidates) is submitted as concurrent evaluations on
-// the shared transport, the live best F is threaded into every in-flight
-// sample so sibling candidates prune each other, and deciding a pass
-// aborts its remaining siblings.  Every completed pass emits a
-// NeighborhoodDone event with its counters.
+// Every search's inner loop runs on the neighbourhood scheduler, at width
+// EvalPolicy.MaxConcurrentEvals (0 means 1): a whole tabu neighbourhood
+// (or a speculative wave of annealing candidates) is submitted as
+// concurrent evaluations on the shared transport, the live best F is
+// threaded into every in-flight sample so sibling candidates prune each
+// other, and deciding a pass aborts its remaining siblings.  Every
+// completed pass, at any width, emits a NeighborhoodDone event with its
+// counters.
 //
 // The determinism rule: evaluation slots are reserved per neighbourhood
 // up front, so each candidate's Monte Carlo sample depends only on (scope
@@ -92,9 +93,9 @@
 // report, subproblem solved/aborted counts, conflict activity from
 // truncated solves, and which discarded annealing-wave members reach the
 // F-cache.  For strictly reproducible full traces, switch Prune and Cache
-// off.  MaxConcurrentEvals == 1 runs the scheduler one candidate at a
-// time, bit-identical to the sequential default (0); the CLI knob is
-// -max-concurrent-evals, and over HTTP the policy field
+// off.  MaxConcurrentEvals 0 (the default) and 1 both run the scheduler
+// one candidate at a time; the CLI knob is -max-concurrent-evals, and over
+// HTTP the policy field
 // "max_concurrent_evals" passes through POST /v1/jobs.
 //
 // Server exposes the same API over HTTP/JSON (submit, stream events as

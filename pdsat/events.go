@@ -146,10 +146,9 @@ func (e EvalPruned) EventMember() int { return e.Member }
 func (e CacheHit) EventMember() int { return e.Member }
 
 // NeighborhoodDone reports one completed neighbourhood pass of a search
-// running with Policy.MaxConcurrentEvals ≥ 1 (the neighbourhood-parallel
-// scheduler): a whole tabu neighbourhood, or one speculative wave of the
-// simulated annealing.  Sequential searches (MaxConcurrentEvals == 0) do
-// not emit it.
+// on the neighbourhood-parallel scheduler: a whole tabu neighbourhood, or
+// one speculative wave of the simulated annealing.  Every search emits it,
+// whatever its Policy.MaxConcurrentEvals (0 runs as width 1).
 type NeighborhoodDone struct {
 	// Job is the reporting job's ID; Member the 0-based fleet member whose
 	// search completed the pass (0 for non-fleet jobs).

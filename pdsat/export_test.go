@@ -2,6 +2,9 @@ package pdsat
 
 import "time"
 
+// MaxSubmitBytes is the POST /v1/jobs body limit.
+const MaxSubmitBytes = maxSubmitBytes
+
 // SetMaxSampleEventsForTest overrides the per-batch SampleProgress budget
 // so tests can exercise the decimation on small, fast batches.  It returns
 // a restore function.

@@ -138,41 +138,12 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 		return nil, err
 	}
 	// One engine for the whole search: the optimizer threads its incumbent
-	// through the jobObjective into the engine, which prunes, stages and
-	// memoizes according to the job's effective policy.
+	// into the engine, which prunes, stages and memoizes according to the
+	// job's effective policy.
 	pol := s.policyFor(spec.Policy)
 	engine := s.engineFor(j, pol)
-	obj := &jobObjective{session: s, job: j, engine: engine}
-	opts := s.cfg.Search
-	// The policy's evaluation concurrency selects the neighbourhood-parallel
-	// scheduler unless the search options already pin a width.
-	if opts.MaxConcurrentEvals == 0 {
-		opts.MaxConcurrentEvals = pol.MaxConcurrentEvals
-	}
-	userNeighborhood := opts.NeighborhoodObserver
-	opts.NeighborhoodObserver = func(nb optimize.Neighborhood) {
-		if userNeighborhood != nil {
-			userNeighborhood(nb)
-		}
-		j.emit(neighborhoodDoneEvent(j.id, 0, nb))
-	}
-	// Emit a SearchVisit per optimizer step, chaining (not replacing) an
-	// observer the session's configuration already carries.
-	userObserver := opts.Observer
-	opts.Observer = func(v optimize.Visit) {
-		if userObserver != nil {
-			userObserver(v)
-		}
-		j.emit(SearchVisit{
-			Job:      j.id,
-			Index:    v.Index,
-			Vars:     v.Point.SortedVars(),
-			Value:    v.Value,
-			Accepted: v.Accepted,
-			Improved: v.Improved,
-			Pruned:   v.Pruned,
-		})
-	}
+	obj := searchObjective{engine, s.runner.VarActivity}
+	opts := s.searchOptions(j, pol, 0)
 	var res *SearchResult
 	switch method {
 	case MethodSimulatedAnnealing:
@@ -186,7 +157,7 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	// Re-estimate the best point through the same engine: with the cache
 	// enabled this is a free hit on the value the search already computed.
 	var best *SetEstimate
-	ev, err := engine.EvaluateF(ctx, res.BestPoint, math.Inf(1))
+	ev, err := engine.EvaluateF(ctx, res.BestPoint, math.Inf(1), -1)
 	if ev != nil {
 		best = s.setEstimateFrom(res.BestPoint, ev)
 	}
@@ -198,66 +169,65 @@ func (spec SearchJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	return &JobResult{Search: &SearchOutcome{Method: method, Result: res, Best: best}}, nil
 }
 
-// jobObjective adapts the session's evaluation engine as the optimizer
-// objective while streaming each evaluation's sample progress into the
-// job's event stream.  It forwards the runner's conflict-activity
-// statistics, so the tabu search's getNewCenter heuristic behaves exactly
-// as with the bare runner, and implements eval.Evaluator so the searches
-// thread their incumbent into every evaluation.
-type jobObjective struct {
-	session *Session
-	job     *Job
-	engine  *eval.Engine
-}
-
-// Evaluate implements optimize.Objective (the searches prefer EvaluateF).
-func (o *jobObjective) Evaluate(ctx context.Context, p Point) (float64, error) {
-	ev, err := o.EvaluateF(ctx, p, math.Inf(1))
-	if err != nil {
-		return 0, err
-	}
-	return ev.Value, nil
-}
-
-// EvaluateF implements eval.Evaluator.
-func (o *jobObjective) EvaluateF(ctx context.Context, p Point, incumbent float64) (*eval.Evaluation, error) {
-	ev, err := o.engine.EvaluateF(ctx, p, incumbent)
-	if err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
-// ReserveSlots implements eval.SlotEvaluator: the neighbourhood-parallel
-// scheduler reserves the evaluation indexes of a whole submission upfront,
-// which keeps every candidate's derived sample seeds independent of the
-// completion order.
-func (o *jobObjective) ReserveSlots(n int) (int, bool) { return o.engine.ReserveSlots(n) }
-
-// EvaluateSlotF implements eval.SlotEvaluator.
-func (o *jobObjective) EvaluateSlotF(ctx context.Context, p Point, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return o.engine.EvaluateSlotF(ctx, p, incumbent, slot)
+// searchObjective is what a search evaluates: its engine, plus the
+// conflict activity its tabu getNewCenter heuristic consumes — the
+// runner-global table for search jobs, the member scope's own for fleet
+// members, so a member's decisions never depend on what concurrent members
+// happened to solve.
+type searchObjective struct {
+	*eval.Engine
+	activity func(Var) float64
 }
 
 // VarActivity implements optimize.ActivitySource.
-func (o *jobObjective) VarActivity(v Var) float64 { return o.session.runner.VarActivity(v) }
+func (o searchObjective) VarActivity(v Var) float64 { return o.activity(v) }
 
-// neighborhoodDoneEvent converts an optimizer neighbourhood pass summary
-// into the job event.
-func neighborhoodDoneEvent(job string, member int, nb optimize.Neighborhood) NeighborhoodDone {
-	return NeighborhoodDone{
-		Job:        job,
-		Member:     member,
-		Center:     nb.Center.SortedVars(),
-		Radius:     nb.Radius,
-		Candidates: nb.Candidates,
-		Evaluated:  nb.Evaluated,
-		Pruned:     nb.Pruned,
-		Cancelled:  nb.Cancelled,
-		Improved:   nb.Improved,
-		BestValue:  nb.BestValue,
-		Width:      nb.Width,
+// searchOptions returns the session's search options for one search of
+// job j (member 0 outside fleets): the policy's evaluation concurrency
+// unless the options already pin a width, and a SearchVisit per optimizer
+// step and a NeighborhoodDone per pass emitted after (not instead of) any
+// observers the session's configuration already carries.
+func (s *Session) searchOptions(j *Job, pol EvalPolicy, member int) optimize.Options {
+	opts := s.cfg.Search
+	if opts.MaxConcurrentEvals == 0 {
+		opts.MaxConcurrentEvals = pol.MaxConcurrentEvals
 	}
+	userNeighborhood := opts.NeighborhoodObserver
+	opts.NeighborhoodObserver = func(nb optimize.Neighborhood) {
+		if userNeighborhood != nil {
+			userNeighborhood(nb)
+		}
+		j.emit(NeighborhoodDone{
+			Job:        j.id,
+			Member:     member,
+			Center:     nb.Center.SortedVars(),
+			Radius:     nb.Radius,
+			Candidates: nb.Candidates,
+			Evaluated:  nb.Evaluated,
+			Pruned:     nb.Pruned,
+			Cancelled:  nb.Cancelled,
+			Improved:   nb.Improved,
+			BestValue:  nb.BestValue,
+			Width:      nb.Width,
+		})
+	}
+	userObserver := opts.Observer
+	opts.Observer = func(v optimize.Visit) {
+		if userObserver != nil {
+			userObserver(v)
+		}
+		j.emit(SearchVisit{
+			Job:      j.id,
+			Member:   member,
+			Index:    v.Index,
+			Vars:     v.Point.SortedVars(),
+			Value:    v.Value,
+			Accepted: v.Accepted,
+			Improved: v.Improved,
+			Pruned:   v.Pruned,
+		})
+	}
+	return opts
 }
 
 // SolveJob processes the whole decomposition family induced by a set:
@@ -292,7 +262,7 @@ func (spec SolveJob) run(ctx context.Context, j *Job) (*JobResult, error) {
 	report, err := j.session.runner.SolveObserved(ctx, p, SolveOptions{
 		StopOnSat:      spec.StopOnSat,
 		MaxSubproblems: spec.MaxSubproblems,
-	}, sampleObserver(j))
+	}, sampleObserver(j, 0))
 	if report == nil {
 		return nil, err
 	}

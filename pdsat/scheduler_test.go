@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func neighborhoodEvents(events []pdsat.Event) []pdsat.NeighborhoodDone {
 // TestSearchJobNeighborhoodEvents: a search job running the
 // neighbourhood-parallel scheduler emits one NeighborhoodDone event per
 // pass with internally consistent counters, and the passes account for the
-// whole search trace; a sequential search job emits none.
+// whole search trace; width 0 emits the same events as width 1.
 func TestSearchJobNeighborhoodEvents(t *testing.T) {
 	inst := testInstance(t, 52, 30, 1)
 	s := newTestSession(t, inst, 8)
@@ -79,16 +80,29 @@ func TestSearchJobNeighborhoodEvents(t *testing.T) {
 		t.Fatalf("final pass best %v, result best %v", last.BestValue, res.Search.Result.BestValue)
 	}
 
-	// The sequential loop (no policy override, session policy zero) must
-	// not emit any.
-	seq, err := s.Submit(context.Background(), pdsat.SearchJob{Method: "tabu"})
-	if err != nil {
-		t.Fatal(err)
+	// Width 0 (no policy override, session policy zero) is width 1: the
+	// same passes, each reported with width 1.  Fresh sessions keep the two
+	// searches' samples identical.
+	widthEvents := func(pol *pdsat.EvalPolicy) []pdsat.NeighborhoodDone {
+		job, err := newTestSession(t, inst, 8).Submit(context.Background(), pdsat.SearchJob{Method: "tabu", Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := collect(t, job.Events())
+		checkTerminated(t, events)
+		return neighborhoodEvents(events)
 	}
-	seqEvents := collect(t, seq.Events())
-	checkTerminated(t, seqEvents)
-	if n := len(neighborhoodEvents(seqEvents)); n != 0 {
-		t.Fatalf("sequential search emitted %d NeighborhoodDone events", n)
+	zero, one := widthEvents(nil), widthEvents(&pdsat.EvalPolicy{MaxConcurrentEvals: 1})
+	if len(zero) == 0 {
+		t.Fatal("width-0 search emitted no NeighborhoodDone events")
+	}
+	if !reflect.DeepEqual(zero, one) {
+		t.Fatalf("width 0 and width 1 NeighborhoodDone events differ:\n%+v\n%+v", zero, one)
+	}
+	for i, nb := range zero {
+		if nb.Width != 1 {
+			t.Fatalf("width-0 pass %d reports width %d, want 1", i, nb.Width)
+		}
 	}
 }
 

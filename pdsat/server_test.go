@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -59,7 +60,9 @@ func TestServerEstimateRoundTrip(t *testing.T) {
 	r := runner.NewRunner(inst.CNF, runner.Config{
 		SampleSize: 24, Workers: 2, Seed: 1, CostMetric: solver.CostPropagations,
 	})
-	want, err := r.EvaluatePoint(context.Background(), decomp.NewSpace(inst.UnknownStartVars()).FullPoint())
+	want, err := r.DefaultScope().Evaluate(context.Background(), runner.Request{
+		Point: decomp.NewSpace(inst.UnknownStartVars()).FullPoint(), Incumbent: math.Inf(1), Slot: -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +249,30 @@ func readAll(resp *http.Response) ([]byte, error) {
 }
 
 // TestServerSolveJob drives a solve job over HTTP end to end.
+// TestServerRejectsOversizedSubmit: a job submission larger than the body
+// limit is refused with 413 before it is decoded, and submits no job.
+func TestServerRejectsOversizedSubmit(t *testing.T) {
+	inst := testInstance(t, 48, 40, 3)
+	s := newTestSession(t, inst, 8)
+	ts := httptest.NewServer(pdsat.NewServer(s))
+	defer ts.Close()
+
+	body := `{"kind":"estimate","pad":"` + strings.Repeat("x", pdsat.MaxSubmitBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("oversized submit created %d jobs", n)
+	}
+	// A spec within the limit is still accepted.
+	postJSON(t, ts.URL+"/v1/jobs", `{"kind":"estimate"}`)
+}
+
 func TestServerSolveJob(t *testing.T) {
 	inst := testInstance(t, 54, 40, 9)
 	s := newTestSession(t, inst, 8)

@@ -269,16 +269,19 @@ func (s *Session) policyFor(override *EvalPolicy) EvalPolicy {
 	return s.cfg.Runner.Policy
 }
 
-// sessionBackend adapts the runner as an eval.Backend while streaming each
-// evaluation's sample progress into a job's event stream.
-type sessionBackend struct {
-	s *Session
-	j *Job
+// scopeBackend adapts an evaluation scope as an eval.Backend while
+// streaming each evaluation's sample progress into a job's event stream.
+type scopeBackend struct {
+	scope   *runner.Scope
+	observe func(runner.Progress)
 }
 
+// ReserveSlots implements eval.Backend.
+func (b scopeBackend) ReserveSlots(n int) int { return b.scope.ReserveSlots(n) }
+
 // EvaluateBudgeted implements eval.Backend.
-func (b sessionBackend) EvaluateBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64) (*eval.Evaluation, error) {
-	pe, err := b.s.runner.EvaluatePointBudgeted(ctx, p, pol, incumbent, sampleObserver(b.j))
+func (b scopeBackend) EvaluateBudgeted(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int) (*eval.Evaluation, error) {
+	pe, err := b.scope.Evaluate(ctx, runner.Request{Point: p, Policy: pol, Incumbent: incumbent, Slot: slot, Observe: b.observe})
 	if pe == nil {
 		return nil, err
 	}
@@ -286,30 +289,19 @@ func (b sessionBackend) EvaluateBudgeted(ctx context.Context, p Point, pol EvalP
 	return &ev, err
 }
 
-// ReserveEvalSlots implements eval.SlotBackend: the neighbourhood-parallel
-// scheduler reserves the evaluation indexes of a whole submission upfront,
-// keeping every candidate's derived sample seeds independent of the
-// completion order.
-func (b sessionBackend) ReserveEvalSlots(n int) int { return b.s.runner.ReserveEvalSlots(n) }
-
-// EvaluateSlot implements eval.SlotBackend.
-func (b sessionBackend) EvaluateSlot(ctx context.Context, p Point, pol EvalPolicy, incumbent float64, slot int) (*eval.Evaluation, error) {
-	return b.s.runner.EvaluateSlotObserved(ctx, p, pol, incumbent, slot, sampleObserver(b.j))
-}
-
 // engineFor builds the budget-aware evaluation engine for one job: the
-// session's runner as backend, the session's shared F-cache (when the
-// policy enables it), and pruning/cache-hit notifications wired into the
-// job's event stream.
+// runner's default scope as backend, the session's shared F-cache (when
+// the policy enables it), and pruning/cache-hit notifications wired into
+// the job's event stream.
 func (s *Session) engineFor(j *Job, pol EvalPolicy) *eval.Engine {
-	return s.engineWith(sessionBackend{s: s, j: j}, j, pol, 0)
+	return s.engineWith(s.runner.DefaultScope(), j, pol, 0)
 }
 
-// engineWith is engineFor over an explicit backend with member-tagged event
-// emission: fleet jobs build one engine per member, all sharing the
+// engineWith is engineFor over an explicit scope with member-tagged event
+// emission: fleet jobs build one engine per member scope, all sharing the
 // session's F-cache.
-func (s *Session) engineWith(backend eval.Backend, j *Job, pol EvalPolicy, member int) *eval.Engine {
-	eng := eval.NewEngine(backend, pol, s.fcache)
+func (s *Session) engineWith(scope *runner.Scope, j *Job, pol EvalPolicy, member int) *eval.Engine {
+	eng := eval.NewEngine(scopeBackend{scope: scope, observe: sampleObserver(j, member)}, pol, s.fcache)
 	if j != nil {
 		eng.OnPruned = func(p Point, ev eval.Evaluation) {
 			j.emit(EvalPruned{
@@ -351,7 +343,7 @@ func (s *Session) setEstimateFrom(p Point, ev *eval.Evaluation) *SetEstimate {
 // Estimations have no incumbent, so staging and the cache apply but pruning
 // never triggers.
 func (s *Session) estimateObserved(ctx context.Context, p Point, j *Job, pol EvalPolicy) (*SetEstimate, error) {
-	ev, err := s.engineFor(j, pol).EvaluateF(ctx, p, math.Inf(1))
+	ev, err := s.engineFor(j, pol).EvaluateF(ctx, p, math.Inf(1), -1)
 	if ev == nil {
 		return nil, err
 	}
@@ -428,16 +420,10 @@ func (s *Session) Stats() SessionStats {
 // tests can exercise the decimation on small batches.
 var maxSampleEvents = 8192
 
-// sampleObserver converts runner progress into the job's SampleProgress
-// events, decimating oversized batches to at most ~maxSampleEvents
-// notifications.
-func sampleObserver(j *Job) func(runner.Progress) {
-	return memberSampleObserver(j, 0)
-}
-
-// memberSampleObserver is sampleObserver with a fleet member tag on every
-// emitted event.
-func memberSampleObserver(j *Job, member int) func(runner.Progress) {
+// sampleObserver converts runner progress into the job's
+// SampleProgress events, tagged with a fleet member (0 outside fleets),
+// decimating oversized batches to at most ~maxSampleEvents notifications.
+func sampleObserver(j *Job, member int) func(runner.Progress) {
 	if j == nil {
 		return nil
 	}

@@ -2,6 +2,7 @@ package pdsat_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"github.com/paper-repro/pdsat-go/internal/cnf"
@@ -127,7 +128,9 @@ func TestEstimateJobBitIdentical(t *testing.T) {
 		CostMetric: solver.CostPropagations,
 	})
 	space := decomp.NewSpace(inst.UnknownStartVars())
-	want, err := r.EvaluatePoint(context.Background(), space.FullPoint())
+	want, err := r.DefaultScope().Evaluate(context.Background(), runner.Request{
+		Point: space.FullPoint(), Incumbent: math.Inf(1), Slot: -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
